@@ -3,8 +3,7 @@
 // view of every traced pair, with aggregated router identities, the
 // cross-pair diamond census, and per-address provenance. Queries go
 // through the same internal/atlas/serve layer as the atlasd HTTP
-// service, so point lookups on an indexed (v2) snapshot decode only the
-// shards they touch.
+// service, so point lookups decode only the shards they touch.
 //
 // Usage:
 //
@@ -15,12 +14,10 @@
 //	atlas addr 10.0.0.7 internet.atlas     # which pairs saw the address, at which hops
 //	atlas compact -o full.atlas base.atlas base.atlas.d*  # merge base + deltas
 //
-// The pre-subcommand flag style (atlas -stats snapshot.atlas, -routers,
-// -census, -addr) still works for one release as a deprecated alias.
+// An unknown subcommand prints the usage and exits 2.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, usageText)
 		return 0
 	}
-	return runLegacy(args, stdout, stderr)
+	fmt.Fprint(stderr, usageText)
+	return 2
 }
 
 // runQuery handles the read subcommands, all backed by one serve
@@ -173,7 +171,6 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("atlas compact", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "", "output snapshot path (required)")
-	shards := fs.Int("shards", 0, "atlas merge shards (0 = default; output bytes are identical for every value)")
 	workers := fs.Int("workers", 0, "merge workers for the streaming compaction (0 = GOMAXPROCS, 1 = serial; output bytes are identical for every value)")
 	quiet := fs.Bool("q", false, "suppress per-input and per-shard progress on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -190,93 +187,20 @@ func runCompact(args []string, stdout, stderr io.Writer) int {
 	if *quiet {
 		progress = nil
 	}
-	opt := atlas.Options{Shards: *shards, MergeWorkers: *workers}
+	opt := atlas.Options{MergeWorkers: *workers}
 	if err := atlas.CompactWithProgress(*out, inputs[0], inputs[1:], opt, progress); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	// The v2 header carries the totals; no need to re-decode the file
-	// we just wrote only to count its sections.
+	// The header carries the totals; no need to decode the file we
+	// just wrote only to count its sections.
 	r, err := traceio.OpenAtlasFile(*out)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	h := r.Header()
+	st := atlas.StatsOf(r.Header())
 	r.Close()
-	st := atlas.Stats{Pairs: h.Pairs, Nodes: h.Nodes, Edges: h.Edges, Routers: h.Routers, Diamonds: h.Diamonds}
 	fmt.Fprintf(stdout, "compacted %d snapshots into %s (%s)\n", len(inputs), *out, st)
-	return 0
-}
-
-// runLegacy keeps the pre-subcommand flag interface working for one
-// release, with a deprecation notice on stderr. Same serve backend,
-// same output — except the old silent/empty behavior for an absent
-// -addr, which now errors with exit 1 like the addr subcommand.
-func runLegacy(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("atlas", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		statsQ  = fs.Bool("stats", false, "print merged-content stats and the aggregated router-size CDF")
-		routers = fs.Bool("routers", false, "print every aggregated router (alias component)")
-		census  = fs.Bool("census", false, "print the cross-pair diamond census")
-		addrQ   = fs.String("addr", "", "print the provenance of one address (pairs and hops that saw it)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprint(stderr, usageText)
-		return 2
-	}
-	fmt.Fprintln(stderr, "warning: flag-style invocation is deprecated; use the subcommands 'atlas stats|routers|router|census|addr' (see atlas -help)")
-
-	var q packet.Addr
-	if *addrQ != "" {
-		var err error
-		if q, err = packet.ParseAddr(*addrQ); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-	svc, err := serve.Open(fs.Arg(0), serve.Options{})
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	defer svc.Close()
-
-	if *statsQ || (!*routers && !*census && *addrQ == "") {
-		if err := printStats(svc, stdout); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if *routers {
-		if err := query("routers", 0, svc, stdout); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if *census {
-		if err := query("census", 0, svc, stdout); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if *addrQ != "" {
-		obs, err := svc.Provenance(q)
-		if err != nil {
-			if errors.Is(err, serve.ErrNotFound) {
-				fmt.Fprintf(stderr, "%s: not in atlas\n", q)
-			} else {
-				fmt.Fprintln(stderr, err)
-			}
-			return 1
-		}
-		for _, o := range obs {
-			fmt.Fprintf(stdout, "%s pair %d hop %d\n", q, o.Pair, o.Hop)
-		}
-	}
 	return 0
 }

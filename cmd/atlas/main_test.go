@@ -7,27 +7,33 @@ import (
 	"strings"
 	"testing"
 
+	"mmlpt/internal/atlas"
+	"mmlpt/internal/atlas/serve"
 	"mmlpt/internal/traceio"
 )
 
+// testSnapshot saves the atlas of one traced pair: a width-2 diamond
+// 10.0.0.1 → {10.0.0.2, 10.0.0.3} → 10.0.0.4 whose middle hop aliased.
 func testSnapshot(t *testing.T) string {
 	t.Helper()
-	s := &traceio.AtlasSnapshot{
-		Pairs: []traceio.AtlasPair{{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"}},
-		Nodes: []traceio.AtlasNode{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
+	a := atlas.New(atlas.Options{})
+	err := a.AddRecord(&traceio.SurveyRecord{
+		Trace: traceio.JSONTrace{
+			Src: "192.0.2.1", Dst: "203.0.113.1",
+			Vertices: []traceio.JSONVertex{
+				{Addr: "10.0.0.1", Hop: 1}, {Addr: "10.0.0.2", Hop: 2},
+				{Addr: "10.0.0.3", Hop: 2}, {Addr: "10.0.0.4", Hop: 3},
+			},
+			Edges:   []traceio.JSONEdge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+			Routers: []traceio.JSONRouter{{Addrs: []string{"10.0.0.2", "10.0.0.3"}}},
 		},
-		Edges:   []traceio.AtlasEdge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
-		Routers: []traceio.AtlasRouter{{Addrs: []string{"10.0.0.2", "10.0.0.3"}}},
-		Diamonds: []traceio.AtlasDiamond{
-			{Div: "10.0.0.1", Conv: "10.0.0.4", Count: 1, Pairs: []int{0}, MaxWidth: 2, MaxLength: 2},
-		},
+		Diamonds: []traceio.SurveyDiamond{{Div: "10.0.0.1", Conv: "10.0.0.4", MaxWidth: 2, MaxLength: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "t.atlas")
-	if err := traceio.WriteAtlasFile(path, s); err != nil {
+	if err := a.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -77,15 +83,13 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
-// The satellite fix: querying an absent address exits non-zero with a
-// clear error, for the subcommands and the legacy flags alike.
+// Querying an absent address exits non-zero with a clear error.
 func TestAbsentAddressErrors(t *testing.T) {
 	t.Parallel()
 	path := testSnapshot(t)
 	for _, args := range [][]string{
 		{"addr", "10.9.9.9", path},
 		{"router", "10.9.9.9", path},
-		{"-addr", "10.9.9.9", path},
 	} {
 		code, out, errOut := runCLI(t, args...)
 		if code != 1 {
@@ -104,31 +108,6 @@ func TestAbsentAddressErrors(t *testing.T) {
 	}
 }
 
-func TestLegacyFlagsStillWork(t *testing.T) {
-	t.Parallel()
-	path := testSnapshot(t)
-	code, out, errOut := runCLI(t, "-stats", path)
-	if code != 0 || !strings.Contains(out, "4 addresses") {
-		t.Fatalf("-stats: code=%d out=%q", code, out)
-	}
-	if !strings.Contains(errOut, "deprecated") {
-		t.Fatalf("-stats: no deprecation notice, stderr=%q", errOut)
-	}
-	code, out, _ = runCLI(t, "-routers", path)
-	if code != 0 || out != "router[2] 10.0.0.2 10.0.0.3\n" {
-		t.Fatalf("-routers: code=%d out=%q", code, out)
-	}
-	code, out, _ = runCLI(t, "-addr", "10.0.0.2", path)
-	if code != 0 || out != "10.0.0.2 pair 0 hop 2\n" {
-		t.Fatalf("-addr: code=%d out=%q", code, out)
-	}
-	// Bare legacy invocation defaults to stats.
-	code, out, _ = runCLI(t, path)
-	if code != 0 || !strings.Contains(out, "Fig 12") {
-		t.Fatalf("legacy default: code=%d out=%q", code, out)
-	}
-}
-
 func TestCompactSubcommand(t *testing.T) {
 	t.Parallel()
 	base := testSnapshot(t)
@@ -141,19 +120,48 @@ func TestCompactSubcommand(t *testing.T) {
 		t.Fatalf("compact stdout = %q", stdout)
 	}
 	// Merging a snapshot with itself is idempotent for topology; only
-	// census encounter counts sum. Spot-check it round-trips.
-	s, err := traceio.ReadAtlasFile(out)
-	if err != nil {
-		t.Fatal(err)
+	// census encounter counts sum.
+	if !strings.Contains(stdout, "4 addresses, 4 links, 1 routers") {
+		t.Fatalf("compact stdout = %q", stdout)
 	}
-	if len(s.Nodes) != 4 || s.Diamonds[0].Count != 2 {
-		t.Fatalf("compacted snapshot: %d nodes, census count %d", len(s.Nodes), s.Diamonds[0].Count)
+	code, census, _ := runCLI(t, "census", out)
+	if code != 0 || !strings.Contains(census, "10.0.0.1 10.0.0.4 2 1 2 2") {
+		t.Fatalf("compacted census: code=%d out=%q", code, census)
 	}
 	if code, _, _ := runCLI(t, "compact", "-o", "", base); code != 2 {
 		t.Fatal("compact without -o must be a usage error")
 	}
-	if _, err := os.Stat(out); err != nil {
+	if code, _, _ := runCLI(t, "compact", "-shards", "3", "-o", out, base); code != 2 {
+		t.Fatal("the removed -shards flag must be a usage error")
+	}
+}
+
+// A v1 snapshot is refused by every entry point — the serve layer,
+// compaction and the CLI — with the command that converts it.
+func TestV1SnapshotNeedsConversion(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "v1.atlas")
+	body := `{"version":1,"kind":"atlas","pairs":0,"nodes":1,"edges":0,"routers":0,"diamonds":0}` + "\n" +
+		`{"addr":"10.0.0.1","seen":[[0,1]]}` + "\n"
+	if err := os.WriteFile(v1, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	const convert = "atlas compact -o new.atlas old.atlas"
+	if _, err := serve.Open(v1, serve.Options{}); err == nil || !strings.Contains(err.Error(), convert) {
+		t.Errorf("serve.Open: err = %v", err)
+	}
+	if err := atlas.Compact(filepath.Join(dir, "out.atlas"), v1, nil, atlas.Options{}); err == nil || !strings.Contains(err.Error(), convert) {
+		t.Errorf("atlas.Compact: err = %v", err)
+	}
+	for _, args := range [][]string{
+		{"stats", v1},
+		{"compact", "-o", filepath.Join(dir, "out.atlas"), v1},
+	} {
+		code, _, errOut := runCLI(t, args...)
+		if code != 1 || !strings.Contains(errOut, convert) {
+			t.Errorf("atlas %v: code=%d stderr=%q", args, code, errOut)
+		}
 	}
 }
 
@@ -168,5 +176,13 @@ func TestUsageErrors(t *testing.T) {
 	code, out, _ := runCLI(t, "help")
 	if code != 0 || !strings.Contains(out, "usage:") {
 		t.Fatalf("help: code=%d out=%q", code, out)
+	}
+	// Unknown subcommands, the removed flag style included, print the
+	// usage and exit 2.
+	for _, args := range [][]string{{"bogus"}, {"-stats", "x.atlas"}, {"x.atlas"}} {
+		code, _, errOut := runCLI(t, args...)
+		if code != 2 || !strings.Contains(errOut, "usage:") {
+			t.Fatalf("%v: code=%d stderr=%q", args, code, errOut)
+		}
 	}
 }

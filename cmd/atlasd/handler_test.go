@@ -2,34 +2,43 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mmlpt/internal/atlas"
 	"mmlpt/internal/atlas/serve"
+	"mmlpt/internal/experiments"
+	"mmlpt/internal/survey"
 	"mmlpt/internal/traceio"
 )
 
+// testService serves the atlas of one traced pair: a width-2 diamond
+// 10.0.0.1 → {10.0.0.2, 10.0.0.3} → 10.0.0.4 whose middle hop aliased.
 func testService(t *testing.T) *serve.Service {
 	t.Helper()
-	s := &traceio.AtlasSnapshot{
-		Pairs: []traceio.AtlasPair{{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"}},
-		Nodes: []traceio.AtlasNode{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}},
-			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
+	a := atlas.New(atlas.Options{})
+	err := a.AddRecord(&traceio.SurveyRecord{
+		Trace: traceio.JSONTrace{
+			Src: "192.0.2.1", Dst: "203.0.113.1",
+			Vertices: []traceio.JSONVertex{
+				{Addr: "10.0.0.1", Hop: 1}, {Addr: "10.0.0.2", Hop: 2},
+				{Addr: "10.0.0.3", Hop: 2}, {Addr: "10.0.0.4", Hop: 3},
+			},
+			Edges:   []traceio.JSONEdge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+			Routers: []traceio.JSONRouter{{Addrs: []string{"10.0.0.2", "10.0.0.3"}}},
 		},
-		Edges:   []traceio.AtlasEdge{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
-		Routers: []traceio.AtlasRouter{{Addrs: []string{"10.0.0.2", "10.0.0.3"}}},
-		Diamonds: []traceio.AtlasDiamond{
-			{Div: "10.0.0.1", Conv: "10.0.0.4", Count: 1, Pairs: []int{0}, MaxWidth: 2, MaxLength: 2},
-		},
+		Diamonds: []traceio.SurveyDiamond{{Div: "10.0.0.1", Conv: "10.0.0.4", MaxWidth: 2, MaxLength: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "t.atlas")
-	if err := traceio.WriteAtlasFile(path, s); err != nil {
+	if err := a.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	svc, err := serve.Open(path, serve.Options{})
@@ -173,5 +182,74 @@ func TestHandlerAfterSwap(t *testing.T) {
 	code, body := get(t, h, "/v1/stats")
 	if code != http.StatusOK || !strings.Contains(body, `"nodes":4`) {
 		t.Fatalf("post-swap /v1/stats: %d %q", code, body)
+	}
+}
+
+// The serve goldens in-process: build the serve-smoke atlas (router
+// level, 40 pairs, seed 7 — what `survey -level router -pairs 40 -seed 7
+// -atlas smoke.atlas` writes), serve it through the real handler over
+// HTTP, and byte-compare every response with testdata/serve_golden/.
+// The CI serve-smoke job runs the same queries against the real
+// binaries.
+func TestServeGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 40-pair router-level survey takes seconds; skipped with -short")
+	}
+	t.Parallel()
+	sink := survey.NewAtlasSink(atlas.Options{})
+	cfg := experiments.SurveyConfig{
+		Pairs: 40, Seed: 7, Phi: 2, Rounds: 10,
+		CheckpointEvery: survey.DefaultCheckpointEvery,
+		Sinks:           []survey.Sink{sink},
+	}
+	if _, _, err := experiments.RouterSurvey(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "smoke.atlas")
+	if err := sink.Atlas.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := serve.Open(path, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	srv := httptest.NewServer(newMux(svc))
+	defer srv.Close()
+
+	for _, q := range []struct {
+		golden, path string
+		status       int
+	}{
+		{"healthz", "/healthz", http.StatusOK},
+		{"stats", "/v1/stats", http.StatusOK},
+		{"census", "/v1/census", http.StatusOK},
+		{"router", "/v1/router/10.0.0.58", http.StatusOK},
+		{"addr", "/v1/addr/10.0.0.58", http.StatusOK},
+		{"notfound", "/v1/router/10.255.255.254", http.StatusNotFound},
+		{"badaddr", "/v1/addr/bogus", http.StatusBadRequest},
+	} {
+		resp, err := http.Get(srv.URL + q.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != q.status {
+			t.Errorf("GET %s: status %d, want %d", q.path, resp.StatusCode, q.status)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "serve_golden", q.golden+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("GET %s differs from serve_golden/%s.json:\n got %s\nwant %s", q.path, q.golden, got, want)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Command atlasd serves atlas queries over HTTP: the topology service
 // view of a cross-trace snapshot written by cmd/survey -atlas. It opens
-// the snapshot through internal/atlas/serve — indexed (v2) snapshots
-// are decoded shard-by-shard on demand, never whole — and answers:
+// the snapshot through internal/atlas/serve — shards are decoded on
+// demand, never the whole file — and answers:
 //
 //	GET /healthz            service liveness
 //	GET /v1/stats           merged-content counts
@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		snapshot = flag.String("snapshot", "", "atlas snapshot to serve (required; v1 or v2)")
+		snapshot = flag.String("snapshot", "", "atlas snapshot to serve (required)")
 		listen   = flag.String("listen", ":8430", "HTTP listen address")
 		cache    = flag.Int("cache", 0, "decoded shards kept resident per generation (0 = default)")
 	)

@@ -65,7 +65,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "concurrent trace workers (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		figs         = flag.Bool("figs", false, "also print full figure series")
 		out          = flag.String("out", "", "stream per-trace survey records to this JSONL file as pairs complete")
-		jsonl        = flag.String("jsonl", "", "deprecated alias for -out")
 		atlasOut     = flag.String("atlas", "", "merge every trace into a cross-trace atlas and write its snapshot to this file")
 		atlasShards  = flag.Int("atlas-shards", 0, "atlas ingestion shards (0 = default; snapshot bytes are identical for every value)")
 		atlasWorkers = flag.Int("atlas-workers", 0, "atlas merge workers for snapshot writes (0 = GOMAXPROCS, 1 = serial; snapshot bytes are identical for every value)")
@@ -137,18 +136,11 @@ func main() {
 
 	// Usage validation happens before profiling starts, so usage-error
 	// exits never leave a truncated CPU profile behind.
-	outPath := *out
-	if outPath == "" {
-		outPath = *jsonl
-	}
-	if *jsonl != "" {
-		fmt.Fprintln(os.Stderr, "warning: -jsonl is deprecated (use -out); the file now holds one survey record per line ({pair_index, has_lb, trace, diamonds}), not bare trace objects")
-	}
 	if *resume && *ckpt == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
 		os.Exit(2)
 	}
-	if *resume && outPath == "" {
+	if *resume && *out == "" {
 		// Without the record log there is nothing to replay: the summary
 		// would silently cover only the resumed tail.
 		fmt.Fprintln(os.Stderr, "-resume requires -out (the JSONL record log is what resume replays)")
@@ -227,8 +219,8 @@ func main() {
 	}
 	var jsonlSink *survey.JSONLSink
 	var agg *survey.AggregateSink
-	if outPath != "" {
-		jsonlSink = survey.NewJSONLSink(outPath)
+	if *out != "" {
+		jsonlSink = survey.NewJSONLSink(*out)
 		agg = survey.NewAggregateSink()
 		cfg.Sinks = []survey.Sink{jsonlSink, agg}
 	}
@@ -278,19 +270,17 @@ func main() {
 		if jsonlSink != nil {
 			fail(jsonlSink.Close())
 			fmt.Printf("wrote %d trace records to %s (%d bytes)\n",
-				agg.Agg.Records, outPath, jsonlSink.Offset())
+				agg.Agg.Records, *out, jsonlSink.Offset())
 		}
 		if atlasSink != nil {
 			fail(atlasSink.Close()) // flush a final partial delta, if publishing
-			// Save streams the snapshot (Atlas.WriteTo): the full
-			// AtlasSnapshot is never materialized, and the v2 header of
-			// the file just written already carries the stat totals.
+			// Save streams the snapshot (Atlas.WriteTo), and the header
+			// of the file just written carries the stat totals.
 			fail(atlasSink.Atlas.Save(*atlasOut))
 			r, err := traceio.OpenAtlasFile(*atlasOut)
 			fail(err)
-			h := r.Header()
+			st := atlas.StatsOf(r.Header())
 			fail(r.Close())
-			st := atlas.Stats{Pairs: h.Pairs, Nodes: h.Nodes, Edges: h.Edges, Routers: h.Routers, Diamonds: h.Diamonds}
 			fmt.Printf("wrote atlas snapshot to %s (%s)\n", *atlasOut, st)
 			if n := len(atlasSink.Published()); n > 0 {
 				fmt.Printf("published %d atlas deltas alongside %s\n", n, *atlasOut)

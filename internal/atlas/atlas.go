@@ -8,16 +8,19 @@
 // Graphs from different vantage points are not globally hop-aligned —
 // the same interface sits at hop 6 of one trace and hop 11 of another —
 // so the merged graph cannot be the per-trace hop-indexed topo.Graph.
-// Instead the atlas builds an address-keyed MultiGraph on the shared
-// topo.DAG core: one vertex per interface address, edges wherever any
-// trace observed a link, and hop positions demoted to per-source
-// provenance annotations ((pair, hop) observations).
+// Instead the atlas keys nodes by address alone: one node per interface
+// address, edges wherever any trace observed a link, and hop positions
+// demoted to per-source provenance annotations ((pair, hop)
+// observations).
 //
 // Ingestion is sharded by address for lock-freedom across concurrent
-// writers; every query and snapshot first merges the shards in
-// canonical (ascending address) order, which is what makes the output —
-// snapshot bytes included — independent of worker count, shard count,
-// and ingestion order.
+// writers; every snapshot merges the shards in canonical (ascending
+// address) order, which is what makes the output — snapshot bytes
+// included — independent of worker count, shard count, and ingestion
+// order. Persistence is one path: WriteTo (and Save) stream the
+// snapshot through traceio's stream encoder, traceio.AtlasReader reads
+// it back, and Compact merges snapshot files with a streaming k-way
+// merge.
 package atlas
 
 import (

@@ -2,6 +2,8 @@ package atlas
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -28,7 +30,7 @@ func chain(addrs ...uint32) *topo.Graph {
 func encode(t *testing.T, a *Atlas) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := traceio.EncodeAtlas(&buf, a.Snapshot()); err != nil {
+	if err := encodeSnapshot(&buf, a.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -179,7 +181,8 @@ func TestDiamondCensus(t *testing.T) {
 	}
 }
 
-// Save → Load → Save round-trips byte-stably.
+// A saved snapshot is a fixed point of the merge: compacting it alone
+// rewrites it byte for byte, serially and in parallel.
 func TestSaveLoadByteStable(t *testing.T) {
 	t.Parallel()
 	a := New(Options{Shards: 3})
@@ -187,20 +190,26 @@ func TestSaveLoadByteStable(t *testing.T) {
 	a.AddGraph(2, chain(40, 20, 31))
 	a.AddAliasSet([]packet.Addr{20, 31})
 	a.AddDiamond(0, traceio.SurveyDiamond{Div: "0.0.0.10", Conv: "0.0.0.30", MaxWidth: 3, MaxLength: 2})
-	first := encode(t, a)
-
-	dec, err := traceio.DecodeAtlas(bytes.NewReader(first))
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.atlas")
+	if err := a.Save(in); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromSnapshot(dec, Options{Shards: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second := encode(t, b); !bytes.Equal(first, second) {
-		t.Fatalf("round trip changed bytes:\n%s\nvs\n%s", first, second)
-	}
-	if a.ComputeStats() != b.ComputeStats() {
-		t.Fatalf("stats differ: %v vs %v", a.ComputeStats(), b.ComputeStats())
+	for _, workers := range []int{1, 4} {
+		out := filepath.Join(dir, "out.atlas")
+		if err := Compact(out, in, nil, Options{MergeWorkers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		second, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("workers=%d: compacting one snapshot changed its bytes:\n%s\nvs\n%s", workers, first, second)
+		}
 	}
 }

@@ -1,17 +1,19 @@
 // Streaming compaction: merge a base snapshot and a series of deltas
 // into one full snapshot without ever holding a decoded snapshot in
-// memory. The v2 layout makes this a k-way merge: within one file the
-// shard fences ascend and nodes within a shard ascend, so each input is
-// a single sorted stream of nodes readable one shard block at a time
-// through AtlasReader.ReadShard cursors. Two passes over those cursors
-// — one to fix the output header totals and partition fences, one to
-// build and emit the merged blocks — bound peak memory to a few shard
-// blocks per input regardless of how many addresses the inputs hold.
+// memory. The snapshot layout makes this a k-way merge: within one file
+// the shard fences ascend and nodes within a shard ascend, so each
+// input is a single sorted stream of nodes readable one shard block at
+// a time through AtlasReader.ReadShard cursors. Two passes over those
+// cursors — one to fix the output header totals and partition fences,
+// one to build and emit the merged blocks — bound peak memory to a few
+// shard blocks per input regardless of how many addresses the inputs
+// hold.
 //
-// Trust model: successor targets are not validated against the global
-// node set (the old decode-everything path did that implicitly). This
-// matches AtlasReader's point reads, which also trust a file's edges;
-// a well-formed snapshot cannot name a successor it has no node for.
+// Trust model: Compact trusts what traceio.AtlasReader trusts. Each
+// block is checked against the index and for canonical node order as it
+// is read, but successor targets are not validated against the global
+// node set; a well-formed snapshot cannot name a successor it has no
+// node for.
 package atlas
 
 import (
@@ -19,9 +21,7 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sort"
 
-	"mmlpt/internal/alias"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/traceio"
 )
@@ -31,8 +31,10 @@ import (
 // atomically in the current encoding. This is how a long-running
 // survey's serving view advances: publish cheap deltas, compact them
 // into the base out of band, Swap the service to the compacted file.
-// The output is byte-identical to replaying every input through
-// MergeSnapshot and saving the result.
+// Merging is additive — provenance and successor sets union, alias sets
+// join, census counts sum — so compacting a base and its disjoint
+// deltas reproduces the snapshot of the atlas that ingested every
+// record directly, and compacting one input rewrites it unchanged.
 func Compact(outPath, basePath string, deltaPaths []string, opt Options) error {
 	return CompactWithProgress(outPath, basePath, deltaPaths, opt, nil)
 }
@@ -235,28 +237,21 @@ func compactMerge(cursors []*compactCursor, fn func(addr packet.Addr, group []*t
 type compactState struct {
 	nodes, edges, parts int
 	mins                []packet.Addr
-
-	pairs    []traceio.AtlasPair
-	diamonds []traceio.AtlasDiamond
-
-	routers       []traceio.AtlasRouter
-	routersByPart [][]int
-	routerOf      map[packet.Addr]string
+	sections
 }
 
 func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) (*compactState, error) {
 	st := &compactState{}
-	union := alias.NewUnion()
 
-	// Small sections stream section-by-section: pairs overwrite by
-	// index with later inputs winning, diamond entries sum counts and
-	// union pair sets, router sets union transitively — exactly the
-	// MergeSnapshot semantics.
-	pairs := make(map[int]traceio.AtlasPair)
-	census := make(map[censusKey]*censusEntry)
+	// The small sections accumulate in a scratch atlas, which then
+	// freezes them exactly as WriteTo freezes a live one: pairs
+	// overwrite by index with later inputs winning, diamond entries sum
+	// counts and union pair sets, router sets union transitively.
+	small := New(Options{Shards: 1})
+	census := small.census
 	for i, r := range readers {
 		for _, p := range r.Pairs() {
-			pairs[p.Pair] = p
+			small.pairs[p.Pair] = pairInfo{src: p.Src, dst: p.Dst}
 		}
 		ds, err := r.ReadDiamonds()
 		if err != nil {
@@ -298,16 +293,15 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 					}
 					set[j] = addr
 				}
-				union.AddSet(set)
+				small.AddAliasSet(set)
 			}
 			return nil
 		})
 	}
-	target := traceio.AtlasCodec{}.AtlasShardTarget()
 	var canon canonChecker
 	var succ []packet.Addr
 	err := compactMerge(cursors, func(addr packet.Addr, group []*traceio.AtlasNodeV2) error {
-		if st.nodes%target == 0 {
+		if st.nodes%traceio.AtlasShardNodes == 0 {
 			st.mins = append(st.mins, addr)
 		}
 		st.nodes++
@@ -344,52 +338,7 @@ func compactPlan(paths []string, readers []*traceio.AtlasReader, prefetch bool) 
 		st.mins = make([]packet.Addr, 1)
 	}
 
-	// Freeze the small sections in canonical order.
-	idxs := make([]int, 0, len(pairs))
-	for i := range pairs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		st.pairs = append(st.pairs, pairs[i])
-	}
-	st.diamonds = make([]traceio.AtlasDiamond, 0, len(census))
-	for k, e := range census {
-		ps := make([]int, 0, len(e.pairs))
-		for p := range e.pairs {
-			ps = append(ps, p)
-		}
-		sort.Ints(ps)
-		st.diamonds = append(st.diamonds, traceio.AtlasDiamond{
-			Div: k.div, Conv: k.conv, Count: e.count, Pairs: ps,
-			MaxWidth: e.maxWidth, MaxLength: e.maxLength,
-		})
-	}
-	sort.Slice(st.diamonds, func(i, j int) bool {
-		if st.diamonds[i].Div != st.diamonds[j].Div {
-			return st.diamonds[i].Div < st.diamonds[j].Div
-		}
-		return st.diamonds[i].Conv < st.diamonds[j].Conv
-	})
-
-	groups := union.Groups()
-	st.routers = make([]traceio.AtlasRouter, len(groups))
-	st.routerOf = make(map[packet.Addr]string)
-	st.routersByPart = make([][]int, st.parts)
-	var scratch []byte
-	for i, g := range groups {
-		rt := traceio.AtlasRouter{Addrs: make([]string, len(g))}
-		for j, addr := range g {
-			scratch = addr.AppendText(scratch[:0])
-			rt.Addrs[j] = string(scratch)
-		}
-		st.routers[i] = rt
-		for _, addr := range g {
-			st.routerOf[addr] = rt.Addrs[0]
-		}
-		p := traceio.AtlasShardForAddr(st.mins, g[0])
-		st.routersByPart[p] = append(st.routersByPart[p], i)
-	}
+	st.sections = small.sections(st.mins)
 	return st, nil
 }
 
@@ -461,7 +410,7 @@ func (c *canonChecker) seen(seen [][2]int) bool {
 // pipelined through a bounded in-flight window so the (serial) merge,
 // the (parallel) marshal and the (serial, ordered) write overlap.
 func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st *compactState, workers int, progress func(format string, args ...any)) error {
-	enc, err := traceio.AtlasCodec{}.NewAtlasStreamEncoder(w, traceio.AtlasStreamSpec{
+	enc, err := traceio.NewAtlasStreamEncoder(w, traceio.AtlasStreamSpec{
 		Pairs: st.pairs, Nodes: st.nodes, Edges: st.edges,
 		Routers: len(st.routers), Shards: st.parts, Diamonds: st.diamonds,
 	})
@@ -478,7 +427,7 @@ func compactEmit(w io.Writer, paths []string, readers []*traceio.AtlasReader, st
 	part := 0
 	var blk *traceio.AtlasShard
 	startBlock := func(p int) {
-		lo, hi := traceio.AtlasCodec{}.AtlasBlockOf(p, st.nodes)
+		lo, hi := traceio.AtlasBlockOf(p, st.nodes)
 		blk = &traceio.AtlasShard{
 			Header: traceio.AtlasShardHeader{Shard: p, Nodes: hi - lo, Routers: len(st.routersByPart[p])},
 		}

@@ -14,7 +14,6 @@ import (
 	"mmlpt/internal/nprand"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/topo"
-	"mmlpt/internal/traceio"
 )
 
 // scaleAtlas builds a generator atlas with at least `addrs` distinct
@@ -80,11 +79,10 @@ func BenchmarkAtlasSnapshotScale(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactStreaming pits the streaming k-way Compact against
-// the pre-PR full-decode path (decode every input into memory, merge,
-// materialize, encode) over the same delta files. The win the baseline
-// gates is allocation volume: the streaming path's B/op stays bounded
-// by a few shard blocks per input.
+// BenchmarkCompactStreaming times the streaming k-way Compact over three
+// delta files. The baseline gates its allocation volume and peak heap:
+// the streaming merge's memory stays bounded by a few shard blocks per
+// input.
 func BenchmarkCompactStreaming(b *testing.B) {
 	dir := b.TempDir()
 	var deltas []string
@@ -104,28 +102,6 @@ func BenchmarkCompactStreaming(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			stop := sampleHeapPeak(&peak)
 			if err := Compact(out, "", deltas, Options{}); err != nil {
-				b.Fatal(err)
-			}
-			stop()
-		}
-		reportOutBytes(b, out, peak)
-	})
-	b.Run("fulldecode", func(b *testing.B) {
-		b.ReportAllocs()
-		var peak uint64
-		for i := 0; i < b.N; i++ {
-			stop := sampleHeapPeak(&peak)
-			a := New(Options{})
-			for _, p := range deltas {
-				s, err := traceio.ReadAtlasFile(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := a.MergeSnapshot(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := traceio.WriteAtlasFile(out, a.Snapshot()); err != nil {
 				b.Fatal(err)
 			}
 			stop()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,40 +15,81 @@ import (
 	"mmlpt/internal/traceio"
 )
 
-func sampleSnapshot() *traceio.AtlasSnapshot {
-	return &traceio.AtlasSnapshot{
-		Pairs: []traceio.AtlasPair{
+// sample is a nine-node snapshot with two multi-interface routers and
+// cross-shard edges, kept as canonical-order nodes so tests can slice it
+// into blocks of any size.
+type sample struct {
+	pairs    []traceio.AtlasPair
+	nodes    []traceio.AtlasNodeV2
+	routers  []traceio.AtlasRouter
+	diamonds []traceio.AtlasDiamond
+}
+
+func sampleSnapshot() *sample {
+	return &sample{
+		pairs: []traceio.AtlasPair{
 			{Pair: 0, Src: "192.0.2.1", Dst: "203.0.113.1"},
 			{Pair: 1, Src: "192.0.2.2", Dst: "203.0.113.2"},
 		},
-		Nodes: []traceio.AtlasNode{
-			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}},
-			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}, {1, 3}}},
-			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}},
+		nodes: []traceio.AtlasNodeV2{
+			{Addr: "10.0.0.1", Seen: [][2]int{{0, 1}}, Succ: []string{"10.0.0.2", "10.0.0.3"}},
+			{Addr: "10.0.0.2", Seen: [][2]int{{0, 2}, {1, 3}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
+			{Addr: "10.0.0.3", Seen: [][2]int{{0, 2}}, Succ: []string{"10.0.0.4"}, Router: "10.0.0.2"},
 			{Addr: "10.0.0.4", Seen: [][2]int{{0, 3}}},
-			{Addr: "10.0.0.5", Seen: [][2]int{{1, 1}}},
-			{Addr: "10.0.0.6", Seen: [][2]int{{1, 2}}},
-			{Addr: "10.0.0.7", Seen: [][2]int{{1, 4}}},
-			{Addr: "10.0.0.8", Seen: [][2]int{{1, 5}}},
-			{Addr: "10.0.0.9", Seen: [][2]int{{1, 6}}},
+			{Addr: "10.0.0.5", Seen: [][2]int{{1, 1}}, Succ: []string{"10.0.0.6"}},
+			{Addr: "10.0.0.6", Seen: [][2]int{{1, 2}}, Succ: []string{"10.0.0.2"}},
+			{Addr: "10.0.0.7", Seen: [][2]int{{1, 4}}, Succ: []string{"10.0.0.8"}, Router: "10.0.0.7"},
+			{Addr: "10.0.0.8", Seen: [][2]int{{1, 5}}, Succ: []string{"10.0.0.9"}},
+			{Addr: "10.0.0.9", Seen: [][2]int{{1, 6}}, Router: "10.0.0.7"},
 		},
-		Edges: []traceio.AtlasEdge{
-			{0, 1}, {0, 2}, {1, 3}, {2, 3}, {4, 5}, {5, 1}, {6, 7}, {7, 8},
-		},
-		Routers: []traceio.AtlasRouter{
+		routers: []traceio.AtlasRouter{
 			{Addrs: []string{"10.0.0.2", "10.0.0.3"}},
 			{Addrs: []string{"10.0.0.7", "10.0.0.9"}},
 		},
-		Diamonds: []traceio.AtlasDiamond{
+		diamonds: []traceio.AtlasDiamond{
 			{Div: "10.0.0.1", Conv: "10.0.0.4", Count: 2, Pairs: []int{0}, MaxWidth: 2, MaxLength: 2},
 		},
 	}
 }
 
-func writeSnapshot(t *testing.T, dir, name string, s *traceio.AtlasSnapshot, c traceio.AtlasCodec) string {
+// writeSnapshot slices the sample into shard blocks of size nodes each,
+// routers placed with their representative, and writes them straight
+// through the stream encoder.
+func writeSnapshot(t *testing.T, dir, name string, s *sample, size int) string {
 	t.Helper()
+	var blocks []*traceio.AtlasShard
+	var mins []packet.Addr
+	edges := 0
+	for lo := 0; lo < len(s.nodes); lo += size {
+		hi := min(lo+size, len(s.nodes))
+		blocks = append(blocks, &traceio.AtlasShard{
+			Header: traceio.AtlasShardHeader{Shard: len(blocks), Nodes: hi - lo, Min: s.nodes[lo].Addr, Max: s.nodes[hi-1].Addr},
+			Nodes:  s.nodes[lo:hi],
+		})
+		mins = append(mins, addr(t, s.nodes[lo].Addr))
+	}
+	for _, n := range s.nodes {
+		edges += len(n.Succ)
+	}
+	for _, r := range s.routers {
+		blk := blocks[traceio.AtlasShardForAddr(mins, addr(t, r.Addrs[0]))]
+		blk.Routers = append(blk.Routers, r)
+		blk.Header.Routers++
+	}
 	var buf bytes.Buffer
-	if err := c.Encode(&buf, s); err != nil {
+	enc, err := traceio.NewAtlasStreamEncoder(&buf, traceio.AtlasStreamSpec{
+		Pairs: s.pairs, Nodes: len(s.nodes), Edges: edges,
+		Routers: len(s.routers), Shards: len(blocks), Diamonds: s.diamonds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range blocks {
+		if err := enc.WriteBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name)
@@ -69,7 +111,7 @@ func addr(t *testing.T, s string) packet.Addr {
 func TestServeQueries(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
-	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, traceio.AtlasCodec{ShardNodes: 3})
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 3)
 	svc, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +166,7 @@ func TestServeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ds, snap.Diamonds) {
+	if !reflect.DeepEqual(ds, snap.diamonds) {
 		t.Fatalf("DiamondCensus = %+v", ds)
 	}
 
@@ -149,8 +191,8 @@ func TestServeQueries(t *testing.T) {
 func TestServeDecodeCounter(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
-	// ShardNodes=2 → 5 shards over 9 nodes.
-	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, traceio.AtlasCodec{ShardNodes: 2})
+	// Two nodes per shard → 5 shards over 9 nodes.
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 2)
 	svc, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -201,31 +243,32 @@ func TestServeDecodeCounter(t *testing.T) {
 	}
 }
 
+// A v1 snapshot is no longer served: Open and Swap fail with the
+// command that converts it, and a failed Swap keeps the current
+// generation.
 func TestServeV1Snapshot(t *testing.T) {
 	t.Parallel()
-	snap := sampleSnapshot()
-	path := writeSnapshot(t, t.TempDir(), "v1.atlas", snap, traceio.AtlasCodec{Version: traceio.AtlasVersionV1})
-	svc, err := Open(path, Options{})
+	dir := t.TempDir()
+	v1 := filepath.Join(dir, "v1.atlas")
+	body := `{"version":1,"kind":"atlas","pairs":0,"nodes":1,"edges":0,"routers":0,"diamonds":0}` + "\n" +
+		`{"addr":"10.0.0.1","seen":[[0,1]]}` + "\n"
+	if err := os.WriteFile(v1, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const convert = "atlas compact -o new.atlas old.atlas"
+	if _, err := Open(v1, Options{}); err == nil || !strings.Contains(err.Error(), convert) {
+		t.Fatalf("Open(v1) err = %v, want the conversion command", err)
+	}
+	svc, err := Open(writeSnapshot(t, dir, "a.atlas", sampleSnapshot(), 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	st, err := svc.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if err := svc.Swap(v1); err == nil || !strings.Contains(err.Error(), convert) {
+		t.Fatalf("Swap(v1) err = %v, want the conversion command", err)
 	}
-	if st.Nodes != 9 || st.Routers != 2 {
-		t.Fatalf("v1 Stats = %+v", st)
-	}
-	r, err := svc.Router(addr(t, "10.0.0.3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r) != 2 {
-		t.Fatalf("v1 Router = %v", r)
-	}
-	if _, err := svc.Provenance(addr(t, "10.99.99.99")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("v1 absent err = %v", err)
+	if st, err := svc.Stats(); err != nil || st.Nodes != 9 {
+		t.Fatalf("generation lost after a failed v1 swap: %+v, %v", st, err)
 	}
 }
 
@@ -233,14 +276,14 @@ func TestServeV1Snapshot(t *testing.T) {
 func TestServeLRUEviction(t *testing.T) {
 	t.Parallel()
 	snap := sampleSnapshot()
-	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, traceio.AtlasCodec{ShardNodes: 2})
+	path := writeSnapshot(t, t.TempDir(), "a.atlas", snap, 2)
 	svc, err := Open(path, Options{CacheShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	for pass := 0; pass < 2; pass++ {
-		for _, n := range snap.Nodes {
+		for _, n := range snap.nodes {
 			if _, err := svc.Provenance(addr(t, n.Addr)); err != nil {
 				t.Fatalf("pass %d, %s: %v", pass, n.Addr, err)
 			}
@@ -261,10 +304,10 @@ func TestServeSwapConcurrent(t *testing.T) {
 	snapA := sampleSnapshot()
 	snapB := sampleSnapshot()
 	// B differs: one more node at the end and a different census count.
-	snapB.Nodes = append(snapB.Nodes, traceio.AtlasNode{Addr: "10.0.0.10", Seen: [][2]int{{1, 7}}})
-	snapB.Diamonds[0].Count = 5
-	pathA := writeSnapshot(t, dir, "a.atlas", snapA, traceio.AtlasCodec{ShardNodes: 2})
-	pathB := writeSnapshot(t, dir, "b.atlas", snapB, traceio.AtlasCodec{ShardNodes: 3})
+	snapB.nodes = append(snapB.nodes, traceio.AtlasNodeV2{Addr: "10.0.0.10", Seen: [][2]int{{1, 7}}})
+	snapB.diamonds[0].Count = 5
+	pathA := writeSnapshot(t, dir, "a.atlas", snapA, 2)
+	pathB := writeSnapshot(t, dir, "b.atlas", snapB, 3)
 
 	svc, err := Open(pathA, Options{CacheShards: 2})
 	if err != nil {
@@ -342,7 +385,7 @@ func TestServeSwapConcurrent(t *testing.T) {
 func TestServeSwapFailureKeepsGeneration(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	path := writeSnapshot(t, dir, "a.atlas", sampleSnapshot(), traceio.AtlasCodec{})
+	path := writeSnapshot(t, dir, "a.atlas", sampleSnapshot(), traceio.AtlasShardNodes)
 	svc, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -3,176 +3,12 @@ package atlas
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"mmlpt/internal/packet"
 	"mmlpt/internal/traceio"
 )
 
-// Snapshot renders the atlas in canonical order as a serializable
-// traceio.AtlasSnapshot. For a fixed merged content the snapshot —
-// and therefore its encoded bytes — is unique: every section is sorted,
-// independent of worker count, shard count and ingestion order.
-func (a *Atlas) Snapshot() *traceio.AtlasSnapshot {
-	m := a.Merged()
-	s := &traceio.AtlasSnapshot{}
-
-	a.mu.Lock()
-	idxs := make([]int, 0, len(a.pairs))
-	for i := range a.pairs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		p := a.pairs[i]
-		s.Pairs = append(s.Pairs, traceio.AtlasPair{Pair: i, Src: p.src, Dst: p.dst})
-	}
-	a.mu.Unlock()
-
-	for id := 0; id < m.NumNodes(); id++ {
-		n := traceio.AtlasNode{Addr: m.Addr(NodeID(id)).String()}
-		for _, o := range m.Seen(NodeID(id)) {
-			n.Seen = append(n.Seen, [2]int{o.Pair, o.Hop})
-		}
-		s.Nodes = append(s.Nodes, n)
-	}
-	for id := 0; id < m.NumNodes(); id++ {
-		for _, w := range m.Succ(NodeID(id)) {
-			s.Edges = append(s.Edges, traceio.AtlasEdge{id, int(w)})
-		}
-	}
-	for _, g := range a.Routers() {
-		r := traceio.AtlasRouter{Addrs: make([]string, len(g))}
-		for i, addr := range g {
-			r.Addrs[i] = addr.String()
-		}
-		s.Routers = append(s.Routers, r)
-	}
-	s.Diamonds = a.Census()
-	return s
-}
-
-// FromSnapshot rebuilds an atlas from a decoded snapshot. The round
-// trip is exact for everything a snapshot persists —
-// FromSnapshot(a.Snapshot()).Snapshot() equals a.Snapshot(), byte for
-// byte once encoded. Rejection evidence (alias.Union.Reject) is not
-// part of the snapshot format: the streamed survey records the atlas
-// ingests carry only accepted sets.
-func FromSnapshot(s *traceio.AtlasSnapshot, opt Options) (*Atlas, error) {
-	a := New(opt)
-	if err := a.MergeSnapshot(s); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// MergeSnapshot folds a decoded snapshot additively into the atlas:
-// provenance and successor sets union, alias sets join the growing
-// router identities, census encounter counts sum and pair sets /
-// max widths union. Merging a base snapshot and a series of disjoint
-// delta snapshots (see survey.AtlasSink delta publishing) reproduces
-// the atlas that ingested every record directly — snapshot bytes
-// included, because canonical ordering and provenance dedup happen at
-// snapshot time, not merge time.
-func (a *Atlas) MergeSnapshot(s *traceio.AtlasSnapshot) error {
-	// Parse every address exactly once, before touching any state: a
-	// malformed snapshot is rejected without a partial merge, and the
-	// merge below works on interned packet.Addr values, never strings.
-	addrs := make([]packet.Addr, len(s.Nodes))
-	for i, n := range s.Nodes {
-		addr, err := packet.ParseAddr(n.Addr)
-		if err != nil {
-			return fmt.Errorf("atlas: node %d: %w", i, err)
-		}
-		addrs[i] = addr
-	}
-	for _, e := range s.Edges {
-		if e[0] < 0 || e[0] >= len(addrs) || e[1] < 0 || e[1] >= len(addrs) {
-			return fmt.Errorf("atlas: edge %v out of range", e)
-		}
-	}
-	// Group the node and edge work by ingestion shard, so each shard's
-	// lock is taken once per batch instead of once per node and edge —
-	// at snapshot-merge scale the per-node Lock/Unlock pair used to
-	// dominate the merge.
-	nodesByShard := make([][]int, len(a.shards))
-	for i := range s.Nodes {
-		si := a.shardIndexOf(addrs[i])
-		nodesByShard[si] = append(nodesByShard[si], i)
-	}
-	edgesByShard := make([][]int, len(a.shards))
-	for i, e := range s.Edges {
-		si := a.shardIndexOf(addrs[e[0]])
-		edgesByShard[si] = append(edgesByShard[si], i)
-	}
-	a.snapMu.RLock()
-	for si := range a.shards {
-		if len(nodesByShard[si]) == 0 && len(edgesByShard[si]) == 0 {
-			continue
-		}
-		sh := a.shards[si]
-		sh.mu.Lock()
-		for _, i := range nodesByShard[si] {
-			st := a.node(sh, addrs[i])
-			if len(s.Nodes[i].Seen) > 0 {
-				for _, o := range s.Nodes[i].Seen {
-					st.seen = append(st.seen, Obs{Pair: o[0], Hop: o[1]})
-				}
-				st.dirty = true
-			}
-		}
-		for _, ei := range edgesByShard[si] {
-			e := s.Edges[ei]
-			st := a.node(sh, addrs[e[0]])
-			if st.succ == nil {
-				st.succ = make(map[packet.Addr]struct{})
-			}
-			st.succ[addrs[e[1]]] = struct{}{}
-		}
-		sh.mu.Unlock()
-	}
-	a.snapMu.RUnlock()
-	for i, r := range s.Routers {
-		set := make([]packet.Addr, len(r.Addrs))
-		for j, as := range r.Addrs {
-			addr, err := packet.ParseAddr(as)
-			if err != nil {
-				return fmt.Errorf("atlas: router %d: %w", i, err)
-			}
-			set[j] = addr
-		}
-		a.AddAliasSet(set)
-	}
-	a.mu.Lock()
-	for _, d := range s.Diamonds {
-		k := censusKey{div: d.Div, conv: d.Conv}
-		e, ok := a.census[k]
-		if !ok {
-			e = &censusEntry{pairs: make(map[int]struct{}, len(d.Pairs))}
-			a.census[k] = e
-		}
-		e.count += d.Count
-		for _, p := range d.Pairs {
-			e.pairs[p] = struct{}{}
-		}
-		if d.MaxWidth > e.maxWidth {
-			e.maxWidth = d.MaxWidth
-		}
-		if d.MaxLength > e.maxLength {
-			e.maxLength = d.MaxLength
-		}
-	}
-	for _, p := range s.Pairs {
-		a.pairs[p.Pair] = pairInfo{src: p.Src, dst: p.Dst}
-	}
-	a.mu.Unlock()
-	return nil
-}
-
-// Save persists the atlas snapshot atomically. The write streams
-// through Atlas.WriteTo — byte-identical to the materialized
-// traceio.WriteAtlasFile(path, a.Snapshot()) but without ever holding
-// the full snapshot in memory.
+// Save persists the atlas snapshot atomically, streaming it through
+// Atlas.WriteTo so the full snapshot is never held in memory.
 func (a *Atlas) Save(path string) error {
 	return traceio.WriteFileAtomicStream(path, 0o644, func(w io.Writer) error {
 		_, err := a.WriteTo(w)
@@ -180,16 +16,7 @@ func (a *Atlas) Save(path string) error {
 	})
 }
 
-// Load reads a snapshot file back into a queryable atlas.
-func Load(path string, opt Options) (*Atlas, error) {
-	s, err := traceio.ReadAtlasFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return FromSnapshot(s, opt)
-}
-
-// Stats summarizes the atlas for CLI output.
+// Stats summarizes a snapshot for CLI output.
 type Stats struct {
 	Pairs    int
 	Nodes    int
@@ -198,19 +25,12 @@ type Stats struct {
 	Diamonds int
 }
 
-// ComputeStats counts the atlas's merged content. It performs a full
-// canonical merge; callers that already hold a snapshot should use
-// StatsOf instead.
-func (a *Atlas) ComputeStats() Stats {
-	return StatsOf(a.Snapshot())
-}
-
-// StatsOf derives the stats from an already-built snapshot, avoiding a
-// second merge.
-func StatsOf(s *traceio.AtlasSnapshot) Stats {
+// StatsOf reads the stats from a snapshot header, which carries the
+// section totals: no shard is decoded.
+func StatsOf(h traceio.AtlasHeader) Stats {
 	return Stats{
-		Pairs: len(s.Pairs), Nodes: len(s.Nodes), Edges: len(s.Edges),
-		Routers: len(s.Routers), Diamonds: len(s.Diamonds),
+		Pairs: h.Pairs, Nodes: h.Nodes, Edges: h.Edges,
+		Routers: h.Routers, Diamonds: h.Diamonds,
 	}
 }
 

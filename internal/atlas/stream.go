@@ -1,12 +1,9 @@
-// Shard-parallel streaming snapshot encode: the write-path counterpart
-// of the serve layer's indexed reads. Where Snapshot() materializes the
-// whole flat AtlasSnapshot (every address rendered to a string, every
-// edge an index pair) before a single byte is written, WriteTo slices
-// the canonical address order into the same partitions the v2 format
-// fences — contiguous runs of AtlasCodec.AtlasShardTarget() nodes — and
-// has a worker pool merge, sort, dedup and JSON-render each partition
-// into a private block buffer. The coordinator hands finished blocks to
-// the traceio stream encoder in partition order (par.Ordered), so the
+// Shard-parallel streaming snapshot encode: WriteTo slices the
+// canonical address order into the partitions the snapshot format
+// fences — contiguous runs of traceio.AtlasShardNodes nodes — and has a
+// worker pool merge, sort, dedup and JSON-render each partition into a
+// private block buffer. The coordinator hands finished blocks to the
+// traceio stream encoder in partition order (par.Ordered), so the
 // file's bytes are a pure function of atlas content: every worker
 // count, ingestion-shard count and ingestion order produces identical
 // output, and peak memory is a few blocks in flight, never the whole
@@ -22,11 +19,10 @@ import (
 	"mmlpt/internal/traceio"
 )
 
-// WriteTo streams the atlas's canonical v2 snapshot encoding to w,
-// byte-identical to traceio.EncodeAtlas(a.Snapshot()) by contract (and
-// by test). It implements io.WriterTo. The encode holds the snapshot
-// gate exclusively: concurrent ingestion blocks for its duration, which
-// is what lets the counting pass, the emit pass and the lazy in-place
+// WriteTo streams the atlas's canonical snapshot encoding to w. It
+// implements io.WriterTo. The encode holds the snapshot gate
+// exclusively: concurrent ingestion blocks for its duration, which is
+// what lets the counting pass, the emit pass and the lazy in-place
 // provenance sorts observe one consistent state without per-node locks.
 func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 	a.snapMu.Lock()
@@ -36,7 +32,7 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 	m := a.mergePlan()
 
 	cw := &countingWriter{w: w}
-	enc, err := traceio.AtlasCodec{}.NewAtlasStreamEncoder(cw, traceio.AtlasStreamSpec{
+	enc, err := traceio.NewAtlasStreamEncoder(cw, traceio.AtlasStreamSpec{
 		Pairs: m.pairs, Nodes: len(m.addrs), Edges: m.edges,
 		Routers: len(m.routers), Shards: m.parts, Diamonds: m.diamonds,
 	})
@@ -79,13 +75,19 @@ func (a *Atlas) WriteTo(w io.Writer) (int64, error) {
 
 // mergePlan is everything the streaming encode fixes before the first
 // block: the full canonical address order, the partition fences derived
-// from it, the small sections (pairs, routers, diamonds) and the exact
-// totals the v2 header commits to.
+// from it, the small sections and the exact totals the header commits
+// to.
 type mergePlan struct {
 	addrs []packet.Addr // every node address, ascending
-	parts int           // number of v2 shard blocks
+	parts int           // number of shard blocks
 	edges int
+	sections
+}
 
+// sections is the small, fully materialized part of a snapshot: the
+// pair table and diamond census in canonical order, and the router
+// components rendered and placed into partitions.
+type sections struct {
 	pairs    []traceio.AtlasPair
 	diamonds []traceio.AtlasDiamond
 
@@ -94,12 +96,9 @@ type mergePlan struct {
 	routerOf      map[packet.Addr]string
 }
 
-// target reports the partition node-count target (the v2 default).
-func (m *mergePlan) target() int { return traceio.AtlasCodec{}.AtlasShardTarget() }
-
 // span returns partition p's [lo, hi) range of the canonical order.
 func (m *mergePlan) span(p int) (lo, hi int) {
-	return traceio.AtlasCodec{}.AtlasBlockOf(p, len(m.addrs))
+	return traceio.AtlasBlockOf(p, len(m.addrs))
 }
 
 // mergePlan collects the plan under the exclusive snapshot gate (held
@@ -121,52 +120,18 @@ func (a *Atlas) mergePlan() *mergePlan {
 	}
 	slices.Sort(m.addrs)
 
-	target := m.target()
-	m.parts = (len(m.addrs) + target - 1) / target
-	if m.parts == 0 {
-		m.parts = 1
-	}
-
-	// Small sections: Routers and Census already produce canonical
-	// order, and pair copying mirrors Snapshot exactly.
-	m.pairs = a.sortedPairs()
-	m.diamonds = a.Census()
-	groups := a.Routers()
-	m.routers = make([]traceio.AtlasRouter, len(groups))
-	m.routerOf = make(map[packet.Addr]string)
-	reps := make([]packet.Addr, len(groups))
-	var scratch []byte
-	for i, g := range groups {
-		r := traceio.AtlasRouter{Addrs: make([]string, len(g))}
-		for j, addr := range g {
-			scratch = addr.AppendText(scratch[:0])
-			r.Addrs[j] = string(scratch)
-		}
-		m.routers[i] = r
-		reps[i] = g[0]
-		for _, addr := range g {
-			m.routerOf[addr] = r.Addrs[0]
-		}
-	}
-
-	// Partition fences and router placement: a component lives in the
-	// partition owning its representative, exactly the materialized
-	// encoder's rule.
+	m.parts = max(1, (len(m.addrs)+traceio.AtlasShardNodes-1)/traceio.AtlasShardNodes)
 	mins := make([]packet.Addr, m.parts)
 	for p := 0; p < m.parts; p++ {
 		if lo, hi := m.span(p); hi > lo {
 			mins[p] = m.addrs[lo]
 		}
 	}
-	m.routersByPart = make([][]int, m.parts)
-	for i := range m.routers {
-		p := traceio.AtlasShardForAddr(mins, reps[i])
-		m.routersByPart[p] = append(m.routersByPart[p], i)
-	}
+	m.sections = a.sections(mins)
 
 	// Count the merged edges per partition — the header needs the exact
 	// total before the first block streams out. Successor targets
-	// without a node of their own are dropped, mirroring Merged().
+	// without a node of their own are dropped, as buildBlock drops them.
 	counts := make([]int, m.parts)
 	par.Do(m.parts, a.mergeWorkers, func(p int) {
 		lo, hi := m.span(p)
@@ -185,6 +150,34 @@ func (a *Atlas) mergePlan() *mergePlan {
 		m.edges += n
 	}
 	return m
+}
+
+// sections freezes the atlas's pairs, census and routers in canonical
+// order, placing each router component in the partition that owns its
+// representative under the partition minimum fences mins. Both snapshot
+// producers — WriteTo over a live atlas and Compact over a scratch atlas
+// holding the merged small sections — freeze through here.
+func (a *Atlas) sections(mins []packet.Addr) sections {
+	s := sections{pairs: a.sortedPairs(), diamonds: a.Census()}
+	groups := a.Routers()
+	s.routers = make([]traceio.AtlasRouter, len(groups))
+	s.routersByPart = make([][]int, len(mins))
+	s.routerOf = make(map[packet.Addr]string)
+	var scratch []byte
+	for i, g := range groups {
+		r := traceio.AtlasRouter{Addrs: make([]string, len(g))}
+		for j, addr := range g {
+			scratch = addr.AppendText(scratch[:0])
+			r.Addrs[j] = string(scratch)
+		}
+		s.routers[i] = r
+		for _, addr := range g {
+			s.routerOf[addr] = r.Addrs[0]
+		}
+		p := traceio.AtlasShardForAddr(mins, g[0])
+		s.routersByPart[p] = append(s.routersByPart[p], i)
+	}
+	return s
 }
 
 // sortedPairs copies the pair section in canonical (index) order.

@@ -57,7 +57,7 @@ func genAtlas(tb testing.TB, seed uint64, pairs int, opt Options) *Atlas {
 		a.AddDiamond(i, traceio.SurveyDiamond{
 			Div: first.String(), Conv: last.String(), MaxWidth: 3, MaxLength: 3,
 		})
-		err := a.MergeSnapshot(&traceio.AtlasSnapshot{
+		err := a.MergeSnapshot(&snapshot{
 			Pairs: []traceio.AtlasPair{{Pair: i, Src: "192.0.2.1", Dst: dst.String()}},
 		})
 		if err != nil {
@@ -80,9 +80,9 @@ func writeTo(tb testing.TB, a *Atlas) []byte {
 	return buf.Bytes()
 }
 
-// The tentpole pin: the streaming encode is byte-identical to the
-// pre-existing materialized path (EncodeAtlas over Snapshot) — for the
-// empty atlas, a handmade atlas, and a generator-survey atlas.
+// The streaming encode is byte-identical to the materialized oracle
+// (the serial encode over Snapshot) — for the empty atlas, a handmade
+// atlas, and a generator-survey atlas.
 func TestWriteToMatchesMaterializedEncode(t *testing.T) {
 	t.Parallel()
 	cases := map[string]*Atlas{
@@ -97,11 +97,11 @@ func TestWriteToMatchesMaterializedEncode(t *testing.T) {
 
 	for name, a := range cases {
 		var want bytes.Buffer
-		if err := traceio.EncodeAtlas(&want, a.Snapshot()); err != nil {
+		if err := encodeSnapshot(&want, a.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		if got := writeTo(t, a); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s: WriteTo differs from EncodeAtlas(Snapshot())", name)
+			t.Errorf("%s: WriteTo differs from the materialized encode", name)
 		}
 	}
 }
@@ -140,8 +140,8 @@ func saveDelta(tb testing.TB, dir, name string, a *Atlas) string {
 }
 
 // The compaction pin: the streaming k-way Compact is byte-identical to
-// the pre-existing path — decode every input, MergeSnapshot it into a
-// fresh atlas, encode materialized. Inputs overlap addresses, routers,
+// the materialized oracle — decode every input whole, MergeSnapshot it
+// into a fresh atlas, encode materialized. Inputs overlap addresses, routers,
 // census entries and pair indices; tested serial and parallel, with and
 // without a base.
 func TestCompactMatchesMergeSnapshotPath(t *testing.T) {
@@ -157,7 +157,7 @@ func TestCompactMatchesMergeSnapshotPath(t *testing.T) {
 
 	want := New(Options{})
 	for _, p := range inputs {
-		s, err := traceio.ReadAtlasFile(p)
+		s, err := readSnapshot(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestCompactMatchesMergeSnapshotPath(t *testing.T) {
 		}
 	}
 	var wantBuf bytes.Buffer
-	if err := traceio.EncodeAtlas(&wantBuf, want.Snapshot()); err != nil {
+	if err := encodeSnapshot(&wantBuf, want.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,7 +206,7 @@ func TestCompactEmptyInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := traceio.EncodeAtlas(&want, New(Options{}).Snapshot()); err != nil {
+	if err := encodeSnapshot(&want, New(Options{}).Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
@@ -294,22 +294,27 @@ func TestProvenanceLazyCanonicalization(t *testing.T) {
 }
 
 // FuzzEncodeAtlasStream cross-checks the two encode paths on arbitrary
-// snapshot bytes: whenever the input decodes, rebuilding an atlas from
-// it must stream exactly the bytes the materialized encoder produces.
+// snapshot bytes: whenever the input decodes whole, rebuilding an atlas
+// from it must stream exactly the bytes the materialized encoder
+// produces.
 func FuzzEncodeAtlasStream(f *testing.F) {
 	var seed bytes.Buffer
-	if err := traceio.EncodeAtlas(&seed, genAtlas(f, 9, 3, Options{}).Snapshot()); err != nil {
+	if err := encodeSnapshot(&seed, genAtlas(f, 9, 3, Options{}).Snapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
 	var empty bytes.Buffer
-	if err := traceio.EncodeAtlas(&empty, New(Options{}).Snapshot()); err != nil {
+	if err := encodeSnapshot(&empty, New(Options{}).Snapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := traceio.DecodeAtlas(bytes.NewReader(data))
+		path := filepath.Join(t.TempDir(), "fuzz.atlas")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := readSnapshot(path)
 		if err != nil {
 			t.Skip()
 		}
@@ -318,7 +323,7 @@ func FuzzEncodeAtlasStream(f *testing.F) {
 			t.Skip()
 		}
 		var want bytes.Buffer
-		if err := traceio.EncodeAtlas(&want, a.Snapshot()); err != nil {
+		if err := encodeSnapshot(&want, a.Snapshot()); err != nil {
 			t.Fatalf("materialized encode: %v", err)
 		}
 		var got bytes.Buffer

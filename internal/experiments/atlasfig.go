@@ -26,21 +26,10 @@ func AtlasRouterSizeCDF(a *atlas.Atlas) *stats.CDF {
 	return stats.NewCDF(samples)
 }
 
-// FormatFig12Atlas renders the aggregated router-size CDF of an atlas
-// in the Fig 12 style, alongside the atlas's merged-content stats. One
-// snapshot build serves both.
-func FormatFig12Atlas(a *atlas.Atlas) string {
-	snap := a.Snapshot()
-	sizes := make([]int, len(snap.Routers))
-	for i, r := range snap.Routers {
-		sizes[i] = len(r.Addrs)
-	}
-	return FormatFig12Sizes(atlas.StatsOf(snap), sizes)
-}
-
-// FormatFig12Sizes is the same rendering from already-computed stats
-// and router sizes, so callers holding an indexed snapshot (cmd/atlas
-// through the serve layer) need not rebuild a full in-memory atlas.
+// FormatFig12Sizes renders the aggregated router-size CDF in the Fig 12
+// style, alongside a snapshot's merged-content stats. It takes router
+// sizes rather than an atlas, so callers holding an indexed snapshot
+// (cmd/atlas through the serve layer) need not rebuild one in memory.
 func FormatFig12Sizes(st atlas.Stats, sizes []int) string {
 	samples := make([]float64, len(sizes))
 	for i, s := range sizes {

@@ -8,7 +8,6 @@ import (
 
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/mda"
-	"mmlpt/internal/traceio"
 )
 
 // Determinism guard: a survey's streamed JSONL record log AND its atlas
@@ -56,7 +55,7 @@ func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		var snap bytes.Buffer
-		if err := traceio.EncodeAtlas(&snap, as.Atlas.Snapshot()); err != nil {
+		if _, err := as.Atlas.WriteTo(&snap); err != nil {
 			t.Fatal(err)
 		}
 		if refJSONL == nil {
@@ -74,24 +73,21 @@ func TestSurveyAndAtlasByteIdenticalAcrossWorkersAndShards(t *testing.T) {
 		}
 	}
 
-	// And the snapshot round-trips byte-stably through disk.
-	path := filepath.Join(t.TempDir(), "ref.atlas")
-	dec, err := traceio.DecodeAtlas(bytes.NewReader(refSnapshot))
-	if err != nil {
+	// And the snapshot is a fixed point of the merge on disk: compacting
+	// it alone rewrites it byte for byte.
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "ref.atlas"), filepath.Join(dir, "compacted.atlas")
+	if err := os.WriteFile(in, refSnapshot, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a, err := atlas.FromSnapshot(dec, atlas.Options{})
-	if err != nil {
+	if err := atlas.Compact(out, in, nil, atlas.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(path)
+	onDisk, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(onDisk, refSnapshot) {
-		t.Error("Load(Save(atlas)) is not byte-stable")
+		t.Error("compacting the snapshot alone changed its bytes")
 	}
 }

@@ -2,53 +2,80 @@ package traceio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"sort"
 
 	"mmlpt/internal/packet"
 )
 
-// Atlas snapshot formats.
+// Atlas snapshot format.
 //
 // A snapshot persists the cross-trace topology atlas (internal/atlas):
 // the address-keyed multilevel graph with per-pair hop provenance, the
 // aggregated alias components (routers), and the cross-pair diamond
-// census. Two formats exist, both line-oriented JSON:
+// census. It is line-oriented JSON, sectioned and indexed so a reader
+// can decode one address range without the rest of the file.
 //
-// Version 1 (legacy, still decoded) is a flat sequence — a versioned
-// header line with section counts, then one line per pair, node, edge,
-// router and diamond, in that order. Answering any query requires
-// decoding the whole file.
+// Grammar (every line one JSON value, '\n'-terminated):
 //
-// Version 2 (written by default) is sectioned and indexed: the node and
-// router sections are split into address-range shards, each preceded by
-// a shard-header line carrying its address fences, and the file ends
-// with an index line of per-shard byte offsets plus a fixed trailer
-// line locating the index. A reader can open the file, read the
-// trailer and index, and decode only the shards a query touches
-// (AtlasReader); DecodeAtlas still accepts either version as a plain
-// stream. See atlas_v2.go for the exact v2 grammar.
+//	header    {"version":2,"kind":"atlas","pairs":P,"nodes":N,"edges":E,"routers":R,"diamonds":D,"shards":S}
+//	P pair lines   {"pair":i,"src":"A","dst":"B"}
+//	S shard blocks, each:
+//	    {"shard":i,"nodes":n,"routers":r,"min":"A","max":"B"}
+//	    n node lines   {"addr":"A","seen":[[p,h],...],"succ":["B",...],"router":"REP"}
+//	    r router lines {"addrs":["A","B",...]}
+//	D diamond lines {"div":"A","conv":"B","count":c,"pairs":[...],"max_width":w,"max_length":l}
+//	index     {"kind":"atlas-index","pairs_off":o,"pairs_len":l,"shards":[{"off":o,"len":l,"nodes":n,"routers":r,"min":"A","max":"B"},...],"diamonds_off":o,"diamonds_len":l}
+//	trailer   {"kind":"atlas-trailer","version":2,"index_off":o,"index_len":l}
 //
-// Every section of either version is emitted in canonical order (pairs
-// by index, nodes by ascending address, edges by (from, to) node index,
-// routers by first address, diamonds by (div, conv) label), so for a
-// fixed survey the snapshot is byte-identical whatever worker or shard
-// count produced it, and re-encoding a decoded snapshot with the same
-// codec configuration reproduces the identical bytes — the byte-stable
-// round trip resume-style tooling depends on.
+// Nodes are split into contiguous runs of AtlasShardNodes in canonical
+// (ascending address) order; a shard's fences [min, max] are its first
+// and last node address, so fences partition the address space into
+// disjoint ascending ranges. Edges live with their source node as a
+// "succ" list of destination addresses, and each node in a
+// multi-interface router names the component's representative (its
+// minimum address) in "router". A router component is stored in the
+// shard its representative falls in. The trailer is the last line of
+// the file and locates the index; the index locates every shard plus
+// the pairs and diamonds sections by absolute byte offset, so a reader
+// answers a point query by decoding one shard, never the whole file.
+//
+// Every section is emitted in canonical order (pairs by index, nodes by
+// ascending address, successors by address, routers by representative,
+// diamonds by (div, conv) label), and offsets are pure functions of the
+// content, so for a fixed survey the snapshot is byte-identical
+// whatever worker or shard count produced it.
+//
+// The one writer is AtlasStreamEncoder (atlas_stream.go); the one
+// reader is AtlasReader (atlas_reader.go). The flat version 1 format is
+// no longer read: OpenAtlasFile rejects it with the conversion command.
 
-// AtlasVersion is the snapshot format version EncodeAtlas writes.
+// AtlasVersion is the snapshot format version.
 const AtlasVersion = 2
 
-// AtlasVersionV1 is the legacy flat format, still decoded but no
-// longer written by default.
-const AtlasVersionV1 = 1
+// errAtlasV1 names the conversion for a version 1 file. A one-input
+// compaction rewrites a snapshot in the current format, so any build
+// that still read v1 converts it.
+var errAtlasV1 = errors.New("traceio: atlas snapshot format v1 is no longer read; " +
+	`convert it with "atlas compact -o new.atlas old.atlas" using a build at or before commit fe763d3`)
+
+// AtlasShardNodes is the node count per shard block: the partition
+// size every producer slices the canonical node order into. Shard
+// layout is therefore a pure function of the snapshot content, never
+// of the producing process's worker or ingestion-shard count.
+const AtlasShardNodes = 4096
 
 // atlasKind guards against loading some other tool's JSONL file.
 const atlasKind = "atlas"
+
+// atlasIndexKind and atlasTrailerKind tag the two locator lines.
+const (
+	atlasIndexKind   = "atlas-index"
+	atlasTrailerKind = "atlas-trailer"
+)
 
 // maxAtlasLine bounds one snapshot line; a header or record longer than
 // this is hostile or corrupt, not big.
@@ -59,8 +86,7 @@ const maxAtlasLine = 1 << 24
 // the decoder notices the file is short.
 const preallocCap = 1 << 16
 
-// AtlasHeader is the snapshot's first line. Shards is the number of
-// node/router sections (v2 only; omitted in v1 files).
+// AtlasHeader is the snapshot's first line: the section totals.
 type AtlasHeader struct {
 	Version  int    `json:"version"`
 	Kind     string `json:"kind"`
@@ -78,16 +104,6 @@ type AtlasPair struct {
 	Src  string `json:"src"`
 	Dst  string `json:"dst"`
 }
-
-// AtlasNode is one address of the multilevel graph with its provenance:
-// Seen lists the (pair index, hop) observations, sorted.
-type AtlasNode struct {
-	Addr string   `json:"addr"`
-	Seen [][2]int `json:"seen"`
-}
-
-// AtlasEdge is one directed link, by node index: [from, to].
-type AtlasEdge [2]int
 
 // AtlasRouter is one aggregated alias component, addresses sorted.
 type AtlasRouter struct {
@@ -107,90 +123,79 @@ type AtlasDiamond struct {
 	MaxLength int `json:"max_length"`
 }
 
-// AtlasSnapshot is the decoded snapshot.
-type AtlasSnapshot struct {
-	Pairs    []AtlasPair
-	Nodes    []AtlasNode
-	Edges    []AtlasEdge
-	Routers  []AtlasRouter
-	Diamonds []AtlasDiamond
+// AtlasShardHeader is the first line of one shard block.
+type AtlasShardHeader struct {
+	Shard   int    `json:"shard"`
+	Nodes   int    `json:"nodes"`
+	Routers int    `json:"routers"`
+	Min     string `json:"min,omitempty"`
+	Max     string `json:"max,omitempty"`
 }
 
-// DefaultAtlasShardNodes is the v2 encoder's target node count per
-// shard when AtlasCodec.ShardNodes is zero. Shard layout is a pure
-// function of (snapshot, codec config), never of the producing
-// process's worker or ingestion-shard count.
-const DefaultAtlasShardNodes = 4096
-
-// AtlasCodec is the versioned snapshot codec. The zero value writes
-// the current format (AtlasVersion) with the default shard sizing;
-// Decode sniffs the version from the header and accepts either format.
-// Callers that must keep producing the legacy flat format set Version
-// explicitly.
-type AtlasCodec struct {
-	// Version selects the format Encode writes: AtlasVersionV1,
-	// AtlasVersion, or 0 for the current default.
-	Version int
-	// ShardNodes is the v2 target node count per shard (0 = default).
-	// Smaller shards mean finer-grained lazy loading at the cost of
-	// index size. Byte-identity of encoded snapshots holds per
-	// ShardNodes value.
-	ShardNodes int
+// AtlasNodeV2 is one node line: an address with its (pair, hop)
+// provenance (sorted), its outgoing links by destination address, and
+// the representative of the router component containing it, when any.
+type AtlasNodeV2 struct {
+	Addr   string   `json:"addr"`
+	Seen   [][2]int `json:"seen"`
+	Succ   []string `json:"succ"`
+	Router string   `json:"router,omitempty"`
 }
 
-// Encode writes the snapshot in the codec's configured version. The
-// caller is responsible for the canonical section ordering documented
-// above; Encode writes section contents verbatim.
-func (c AtlasCodec) Encode(w io.Writer, s *AtlasSnapshot) error {
-	v := c.Version
-	if v == 0 {
-		v = AtlasVersion
+// AtlasShardInfo locates one shard block in the file and repeats its
+// fences so a reader can route a query without touching the block.
+type AtlasShardInfo struct {
+	Off     int64  `json:"off"`
+	Len     int64  `json:"len"`
+	Nodes   int    `json:"nodes"`
+	Routers int    `json:"routers"`
+	Min     string `json:"min,omitempty"`
+	Max     string `json:"max,omitempty"`
+}
+
+// AtlasIndex is the index line: absolute byte spans for every
+// random-access section.
+type AtlasIndex struct {
+	Kind        string           `json:"kind"`
+	PairsOff    int64            `json:"pairs_off"`
+	PairsLen    int64            `json:"pairs_len"`
+	Shards      []AtlasShardInfo `json:"shards"`
+	DiamondsOff int64            `json:"diamonds_off"`
+	DiamondsLen int64            `json:"diamonds_len"`
+}
+
+// atlasTrailer is the fixed last line locating the index.
+type atlasTrailer struct {
+	Kind     string `json:"kind"`
+	Version  int    `json:"version"`
+	IndexOff int64  `json:"index_off"`
+	IndexLen int64  `json:"index_len"`
+}
+
+// AtlasShardForAddr returns the shard whose address range owns addr,
+// given the per-shard minimum fences: the last shard whose minimum is
+// <= addr, or 0 when addr precedes every fence. For an address that is
+// a node this is exactly the containing shard; for others it is where
+// that address would live, which is the router placement rule — a
+// router component is stored in the shard owning its representative.
+func AtlasShardForAddr(mins []packet.Addr, addr packet.Addr) int {
+	// sort.Search: first index with mins[i] > addr.
+	i := sort.Search(len(mins), func(i int) bool { return mins[i] > addr })
+	if i == 0 {
+		return 0
 	}
-	switch v {
-	case AtlasVersionV1:
-		return encodeAtlasV1(w, s)
-	case AtlasVersion:
-		return c.EncodeV2(w, s)
-	default:
-		return fmt.Errorf("traceio: cannot encode atlas version %d", v)
-	}
+	return i - 1
 }
 
-// Decode reads and validates a snapshot of either version, sniffing the
-// header. Corrupt, truncated or hostile input returns an error; it
-// never panics and never allocates proportionally to unverified header
-// claims.
-func (c AtlasCodec) Decode(r io.Reader) (*AtlasSnapshot, error) {
-	ls := newLineScanner(r)
-	h, err := decodeAtlasHeader(ls)
-	if err != nil {
-		return nil, err
-	}
-	switch h.Version {
-	case AtlasVersionV1:
-		return decodeV1Body(ls, h)
-	case AtlasVersion:
-		return decodeV2Body(ls, h)
-	default:
-		return nil, fmt.Errorf("traceio: atlas version %d, want %d or %d", h.Version, AtlasVersionV1, AtlasVersion)
-	}
+// AtlasBlockOf returns shard's [lo, hi) range of a canonical node
+// order holding n nodes.
+func AtlasBlockOf(shard, n int) (lo, hi int) {
+	lo = min(shard*AtlasShardNodes, n)
+	hi = min(lo+AtlasShardNodes, n)
+	return lo, hi
 }
 
-// EncodeAtlas writes the snapshot in the current default format (v2).
-// It is a thin wrapper over AtlasCodec; callers needing the legacy
-// format or custom shard sizing use the codec directly.
-func EncodeAtlas(w io.Writer, s *AtlasSnapshot) error {
-	return AtlasCodec{}.Encode(w, s)
-}
-
-// DecodeAtlas reads a snapshot of either format version. Thin wrapper
-// over AtlasCodec.Decode.
-func DecodeAtlas(r io.Reader) (*AtlasSnapshot, error) {
-	return AtlasCodec{}.Decode(r)
-}
-
-// lineScanner yields non-empty lines with position tracking, shared by
-// both format decoders.
+// lineScanner yields non-empty lines with position tracking.
 type lineScanner struct {
 	sc   *bufio.Scanner
 	line int
@@ -228,32 +233,34 @@ func (ls *lineScanner) finish() error {
 	return nil
 }
 
-func decodeAtlasHeader(ls *lineScanner) (AtlasHeader, error) {
+func decodeAtlasHeader(b []byte) (AtlasHeader, error) {
 	var h AtlasHeader
-	hb, err := ls.next()
-	if err != nil {
-		return h, err
-	}
-	if err := json.Unmarshal(hb, &h); err != nil {
+	if err := json.Unmarshal(b, &h); err != nil {
 		return h, fmt.Errorf("traceio: bad atlas header: %v", err)
 	}
 	if h.Kind != atlasKind {
 		return h, fmt.Errorf("traceio: not an atlas snapshot (kind %q)", h.Kind)
 	}
+	if h.Version == 1 {
+		return h, errAtlasV1
+	}
+	if h.Version != AtlasVersion {
+		return h, fmt.Errorf("traceio: atlas version %d, want %d", h.Version, AtlasVersion)
+	}
 	if h.Pairs < 0 || h.Nodes < 0 || h.Edges < 0 || h.Routers < 0 || h.Diamonds < 0 || h.Shards < 0 {
 		return h, fmt.Errorf("traceio: atlas header has negative section count")
+	}
+	if h.Shards < 1 || (h.Nodes == 0 && h.Shards != 1) || (h.Nodes > 0 && h.Shards > h.Nodes) {
+		return h, fmt.Errorf("traceio: atlas header: %d shards for %d nodes", h.Shards, h.Nodes)
 	}
 	return h, nil
 }
 
 func cappedPrealloc(n int) int {
-	if n > preallocCap {
-		return preallocCap
-	}
-	return n
+	return min(n, preallocCap)
 }
 
-// decodePairs reads h.Pairs pair lines.
+// decodePairs reads n pair lines.
 func decodePairs(ls *lineScanner, n int) ([]AtlasPair, error) {
 	out := make([]AtlasPair, 0, cappedPrealloc(n))
 	for i := 0; i < n; i++ {
@@ -298,163 +305,72 @@ func decodeDiamonds(ls *lineScanner, n int) ([]AtlasDiamond, error) {
 	return out, nil
 }
 
-// validateNode checks one decoded node's invariants: parseable address,
-// strictly ascending over the previous node, non-negative provenance.
-// These are canonical-order facts every real snapshot satisfies, and
-// validating them at decode time is what guarantees any accepted
-// snapshot re-encodes cleanly as v2 (whose shard fences need ordered,
-// parseable addresses).
-func validateNode(ls *lineScanner, addrStr string, seen [][2]int, prev packet.Addr, havePrev bool) (packet.Addr, error) {
-	addr, err := packet.ParseAddr(addrStr)
+// decodeShardHeader parses and validates one shard-header line.
+func decodeShardHeader(ls *lineScanner, want int) (AtlasShardHeader, error) {
+	var sh AtlasShardHeader
+	b, err := ls.next()
 	if err != nil {
-		return 0, fmt.Errorf("traceio: atlas line %d: node address %q: %v", ls.line, addrStr, err)
+		return sh, err
+	}
+	if err := json.Unmarshal(b, &sh); err != nil {
+		return sh, fmt.Errorf("traceio: atlas line %d: bad shard header: %v", ls.line, err)
+	}
+	if sh.Shard != want {
+		return sh, fmt.Errorf("traceio: atlas line %d: shard %d, want %d", ls.line, sh.Shard, want)
+	}
+	if sh.Nodes < 0 || sh.Routers < 0 {
+		return sh, fmt.Errorf("traceio: atlas line %d: negative shard section count", ls.line)
+	}
+	return sh, nil
+}
+
+// decodeNode parses and validates one node line: parseable address,
+// strictly ascending over the previous node (prev/havePrev), and
+// non-negative provenance. These are canonical-order facts every real
+// snapshot satisfies, and checking them at read time is what guarantees
+// any accepted block re-encodes (shard fences need ordered, parseable
+// addresses).
+func decodeNode(ls *lineScanner, prev packet.Addr, havePrev bool) (AtlasNodeV2, packet.Addr, error) {
+	var n AtlasNodeV2
+	b, err := ls.next()
+	if err != nil {
+		return n, 0, err
+	}
+	if err := json.Unmarshal(b, &n); err != nil {
+		return n, 0, fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
+	}
+	addr, err := packet.ParseAddr(n.Addr)
+	if err != nil {
+		return n, 0, fmt.Errorf("traceio: atlas line %d: node address %q: %v", ls.line, n.Addr, err)
 	}
 	if havePrev && addr <= prev {
-		return 0, fmt.Errorf("traceio: atlas line %d: node %s out of canonical order", ls.line, addrStr)
+		return n, 0, fmt.Errorf("traceio: atlas line %d: node %s out of canonical order", ls.line, n.Addr)
 	}
-	for _, o := range seen {
+	for _, o := range n.Seen {
 		if o[0] < 0 || o[1] < 0 {
-			return 0, fmt.Errorf("traceio: atlas line %d: negative provenance", ls.line)
+			return n, 0, fmt.Errorf("traceio: atlas line %d: negative provenance", ls.line)
 		}
 	}
-	return addr, nil
+	return n, addr, nil
 }
 
-// validateRouter checks a decoded router: at least two members and a
-// parseable representative (first address), which v2 shard assignment
-// keys on.
-func validateRouter(ls *lineScanner, rt *AtlasRouter) error {
+// decodeRouter parses one router line and checks it has at least two
+// members and a parseable representative (first address), which shard
+// placement keys on.
+func decodeRouter(ls *lineScanner) (AtlasRouter, error) {
+	var rt AtlasRouter
+	b, err := ls.next()
+	if err != nil {
+		return rt, err
+	}
+	if err := json.Unmarshal(b, &rt); err != nil {
+		return rt, fmt.Errorf("traceio: atlas line %d: bad router: %v", ls.line, err)
+	}
 	if len(rt.Addrs) < 2 {
-		return fmt.Errorf("traceio: atlas line %d: router with %d addresses", ls.line, len(rt.Addrs))
+		return rt, fmt.Errorf("traceio: atlas line %d: router with %d addresses", ls.line, len(rt.Addrs))
 	}
 	if _, err := packet.ParseAddr(rt.Addrs[0]); err != nil {
-		return fmt.Errorf("traceio: atlas line %d: router representative %q: %v", ls.line, rt.Addrs[0], err)
+		return rt, fmt.Errorf("traceio: atlas line %d: router representative %q: %v", ls.line, rt.Addrs[0], err)
 	}
-	return nil
-}
-
-// encodeAtlasV1 writes the legacy flat format.
-func encodeAtlasV1(w io.Writer, s *AtlasSnapshot) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	h := AtlasHeader{
-		Version: AtlasVersionV1, Kind: atlasKind,
-		Pairs: len(s.Pairs), Nodes: len(s.Nodes), Edges: len(s.Edges),
-		Routers: len(s.Routers), Diamonds: len(s.Diamonds),
-	}
-	if err := enc.Encode(&h); err != nil {
-		return err
-	}
-	for i := range s.Pairs {
-		if err := enc.Encode(&s.Pairs[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Nodes {
-		if err := enc.Encode(&s.Nodes[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Edges {
-		if err := enc.Encode(&s.Edges[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Routers {
-		if err := enc.Encode(&s.Routers[i]); err != nil {
-			return err
-		}
-	}
-	for i := range s.Diamonds {
-		if err := enc.Encode(&s.Diamonds[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// decodeV1Body reads the legacy flat sections after the header.
-func decodeV1Body(ls *lineScanner, h AtlasHeader) (*AtlasSnapshot, error) {
-	s := &AtlasSnapshot{
-		Nodes:   make([]AtlasNode, 0, cappedPrealloc(h.Nodes)),
-		Edges:   make([]AtlasEdge, 0, cappedPrealloc(h.Edges)),
-		Routers: make([]AtlasRouter, 0, cappedPrealloc(h.Routers)),
-	}
-	var err error
-	if s.Pairs, err = decodePairs(ls, h.Pairs); err != nil {
-		return nil, err
-	}
-	var prev packet.Addr
-	for i := 0; i < h.Nodes; i++ {
-		b, err := ls.next()
-		if err != nil {
-			return nil, err
-		}
-		var n AtlasNode
-		if err := json.Unmarshal(b, &n); err != nil {
-			return nil, fmt.Errorf("traceio: atlas line %d: bad node: %v", ls.line, err)
-		}
-		addr, err := validateNode(ls, n.Addr, n.Seen, prev, i > 0)
-		if err != nil {
-			return nil, err
-		}
-		prev = addr
-		s.Nodes = append(s.Nodes, n)
-	}
-	for i := 0; i < h.Edges; i++ {
-		b, err := ls.next()
-		if err != nil {
-			return nil, err
-		}
-		var e AtlasEdge
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("traceio: atlas line %d: bad edge: %v", ls.line, err)
-		}
-		if e[0] < 0 || e[0] >= h.Nodes || e[1] < 0 || e[1] >= h.Nodes {
-			return nil, fmt.Errorf("traceio: atlas line %d: edge index out of range", ls.line)
-		}
-		s.Edges = append(s.Edges, e)
-	}
-	for i := 0; i < h.Routers; i++ {
-		b, err := ls.next()
-		if err != nil {
-			return nil, err
-		}
-		var rt AtlasRouter
-		if err := json.Unmarshal(b, &rt); err != nil {
-			return nil, fmt.Errorf("traceio: atlas line %d: bad router: %v", ls.line, err)
-		}
-		if err := validateRouter(ls, &rt); err != nil {
-			return nil, err
-		}
-		s.Routers = append(s.Routers, rt)
-	}
-	if s.Diamonds, err = decodeDiamonds(ls, h.Diamonds); err != nil {
-		return nil, err
-	}
-	if err := ls.finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// WriteAtlasFile persists the snapshot atomically (temp + fsync +
-// rename) in the current default format, so a crash mid-save leaves the
-// previous snapshot intact.
-func WriteAtlasFile(path string, s *AtlasSnapshot) error {
-	var buf bytes.Buffer
-	if err := EncodeAtlas(&buf, s); err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, buf.Bytes(), 0o644)
-}
-
-// ReadAtlasFile loads a snapshot of either version from disk.
-func ReadAtlasFile(path string) (*AtlasSnapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeAtlas(f)
+	return rt, nil
 }

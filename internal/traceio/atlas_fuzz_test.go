@@ -1,36 +1,44 @@
 package traceio
 
 import (
-	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// Robustness: the atlas snapshot decoder parses files from disk that may
+// Robustness: the atlas snapshot reader opens files from disk that may
 // be corrupt, truncated, or hostile. Errors are fine; panics and
 // unbounded allocations are not (mirrors internal/packet/fuzz_test.go).
+// Every check runs the production read path over the bytes: open, every
+// ReadShard, ReadDiamonds.
 
-func decodeNeverPanics(t *testing.T, name string, data []byte) {
+// readNeverPanics writes data to path and reads it back in full. It
+// returns what the reader accepted, or nil.
+func readNeverPanics(t *testing.T, path string, data []byte) *atlasFile {
 	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("%s: DecodeAtlas panicked on %q: %v", name, data, r)
+			t.Fatalf("reader panicked on %q: %v", data, r)
 		}
 	}()
-	_, _ = DecodeAtlas(bytes.NewReader(data))
+	f, err := readAtlas(path)
+	if err != nil {
+		return nil
+	}
+	return f
 }
 
 func TestAtlasDecodeNeverPanicsOnGarbage(t *testing.T) {
 	t.Parallel()
-	check := func(data []byte) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Logf("DecodeAtlas panicked on %x: %v", data, r)
-				ok = false
-			}
-		}()
-		_, _ = DecodeAtlas(bytes.NewReader(data))
+	path := filepath.Join(t.TempDir(), "garbage.atlas")
+	check := func(data []byte) bool {
+		readNeverPanics(t, path, data)
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
@@ -42,76 +50,77 @@ func TestAtlasDecodeNeverPanicsOnGarbage(t *testing.T) {
 // crash during a non-atomic copy produces exactly this shape.
 func TestAtlasDecodeNeverPanicsOnTruncation(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	if err := EncodeAtlas(&buf, sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "truncated.atlas")
+	raw := sampleAtlas().bytes(t)
 	for n := 0; n < len(raw); n++ {
-		decodeNeverPanics(t, "truncation", raw[:n])
+		readNeverPanics(t, path, raw[:n])
 	}
 }
 
-// Flipping any byte of a valid snapshot must not panic; most flips must
-// also fail to decode (corruption detection), though flips inside string
-// values may legitimately survive.
+// Flipping any byte of a valid snapshot must not panic; flips inside
+// string values and offsets may legitimately survive or fail.
 func TestAtlasDecodeNeverPanicsOnBitFlips(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	if err := EncodeAtlas(&buf, sampleSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	path := filepath.Join(t.TempDir(), "flipped.atlas")
+	raw := wideAtlas(3).bytes(t)
 	mut := make([]byte, len(raw))
 	for i := 0; i < len(raw); i++ {
 		for _, b := range []byte{0x00, 0xff, raw[i] ^ 0x80, '-', '9'} {
 			copy(mut, raw)
 			mut[i] = b
-			decodeNeverPanics(t, "bitflip", mut)
+			readNeverPanics(t, path, mut)
 		}
 	}
 }
 
 // FuzzDecodeAtlas is the native-fuzzing form of the hostile-input tests
-// above, seeded with a valid snapshot, its truncations and hostile
-// headers so the mutator starts near the format's structure. CI's
-// fuzz-smoke job runs it for a short budget on every PR; locally:
+// above, run over the production reader and seeded with a valid
+// snapshot, its truncation and hostile headers so the mutator starts
+// near the format's structure. CI's fuzz-smoke job runs it for a short
+// budget; locally:
 //
 //	go test -run='^$' -fuzz=FuzzDecodeAtlas -fuzztime=30s ./internal/traceio
 func FuzzDecodeAtlas(f *testing.F) {
-	var buf bytes.Buffer
-	if err := EncodeAtlas(&buf, sampleSnapshot()); err != nil {
-		f.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := wideAtlas(2).bytes(f)
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
-	f.Add([]byte(`{"version":1,"kind":"atlas","nodes":123456789012}` + "\n"))
+	header, body, _ := strings.Cut(string(raw), "\n")
+	f.Add([]byte(strings.Replace(header, `"nodes":9`, `"nodes":123456789012`, 1) + "\n" + body))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeAtlas(bytes.NewReader(data))
-		if err != nil {
+		got := readNeverPanics(t, filepath.Join(t.TempDir(), "fuzz.atlas"), data)
+		if got == nil {
 			return
 		}
-		// Whatever decodes must re-encode without panicking: accepted
-		// hostile inputs may not produce snapshots the encoder chokes on.
-		if err := EncodeAtlas(io.Discard, snap); err != nil {
-			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
+		// Whatever the reader accepts must re-encode: accepted hostile
+		// inputs may not produce blocks the encoder (and so Compact)
+		// chokes on.
+		if err := got.encode(io.Discard); err != nil {
+			t.Fatalf("accepted snapshot failed to re-encode: %v", err)
 		}
 	})
 }
 
 // Hostile section counts must not translate into allocations before the
-// lines backing them exist.
+// lines backing them exist, and a header total the index does not back
+// fails at open.
 func TestAtlasDecodeHostileHeaderCounts(t *testing.T) {
 	t.Parallel()
-	for _, h := range []string{
-		`{"version":1,"kind":"atlas","nodes":123456789012}`,
-		`{"version":1,"kind":"atlas","edges":2147483647}`,
-		`{"version":1,"kind":"atlas","pairs":999999999,"diamonds":999999999}`,
+	header, body, _ := strings.Cut(string(sampleAtlas().bytes(t)), "\n")
+	for _, c := range [][2]string{
+		{`"nodes":9`, `"nodes":123456789012`},
+		{`"routers":2`, `"routers":2147483647`},
+		{`"pairs":2`, `"pairs":999999999`},
+		{`"diamonds":1`, `"diamonds":999999999`},
 	} {
-		if _, err := DecodeAtlas(bytes.NewReader([]byte(h + "\n"))); err == nil {
-			t.Errorf("header %s: decode accepted a file with no section lines", h)
+		h := strings.Replace(header, c[0], c[1], 1)
+		if h == header {
+			t.Fatalf("%s: mutation did not change the header", c[1])
+		}
+		for _, in := range []string{h + "\n", h + "\n" + body} {
+			if _, err := readAtlas(writeBytes(t, []byte(in))); err == nil {
+				t.Errorf("header %s: reader accepted a file that does not back it", h)
+			}
 		}
 	}
 }

@@ -10,25 +10,26 @@ import (
 )
 
 // AtlasReader is the random-access view of a snapshot file: it opens
-// the file, reads the trailer, index, header and pairs section, and
+// the file, reads the header, trailer, index and pairs section, and
 // then serves point reads — one shard block, or the diamonds section —
 // without ever decoding the rest. All methods are safe for concurrent
 // use after Open (section reads go through ReadAt).
 //
-// v1 files have no index; Open falls back to a full decode and
-// presents the whole snapshot as a single synthetic shard, so callers
-// get one code path over both formats (old snapshots simply pay the
-// monolithic load they always did).
+// Trust model: Open checks everything the header, trailer and index
+// claim against each other and against the file size, including that
+// the index's per-shard node and router counts add up to the header's
+// totals. ReadShard checks a block against its index entry and the
+// canonical node order inside it. What only a full read could check is
+// not checked: the header's edge total, and that every successor
+// address names a node somewhere in the file.
 type AtlasReader struct {
-	f       *os.File
-	size    int64
-	header  AtlasHeader
-	index   AtlasIndex
-	mins    []packet.Addr // per-shard min fence (v2)
-	maxs    []packet.Addr // per-shard max fence (v2)
-	pairs   []AtlasPair
-	v1shard *AtlasShard    // v1 fallback: the whole file as shard 0
-	v1snap  *AtlasSnapshot // v1 fallback: retained for diamonds
+	f      *os.File
+	size   int64
+	header AtlasHeader
+	index  AtlasIndex
+	mins   []packet.Addr // per-shard min fence
+	maxs   []packet.Addr // per-shard max fence
+	pairs  []AtlasPair
 }
 
 // atlasTailProbe bounds the read that locates the trailer line.
@@ -48,6 +49,8 @@ func OpenAtlasFile(path string) (*AtlasReader, error) {
 	return r, nil
 }
 
+// newAtlasReader locates and validates the header, trailer, index and
+// pairs section.
 func newAtlasReader(f *os.File) (*AtlasReader, error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -58,145 +61,95 @@ func newAtlasReader(f *os.File) (*AtlasReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traceio: atlas header: %v", err)
 	}
-	ls := newLineScanner(bytes.NewReader(headLine))
-	h, err := decodeAtlasHeader(ls)
-	if err != nil {
+	if r.header, err = decodeAtlasHeader(bytes.TrimRight(headLine, "\n")); err != nil {
 		return nil, err
 	}
-	r.header = h
-	switch h.Version {
-	case AtlasVersionV1:
-		return r, r.openV1()
-	case AtlasVersion:
-		return r, r.openV2()
-	default:
-		return nil, fmt.Errorf("traceio: atlas version %d, want %d or %d", h.Version, AtlasVersionV1, AtlasVersion)
-	}
-}
-
-// openV1 decodes the whole legacy file into one synthetic shard.
-func (r *AtlasReader) openV1() error {
-	if _, err := r.f.Seek(0, 0); err != nil {
-		return err
-	}
-	s, err := DecodeAtlas(r.f)
-	if err != nil {
-		return err
-	}
-	succ := make([][]string, len(s.Nodes))
-	for _, e := range s.Edges {
-		succ[e[0]] = append(succ[e[0]], s.Nodes[e[1]].Addr)
-	}
-	routerOf := make(map[string]string)
-	for _, rt := range s.Routers {
-		for _, m := range rt.Addrs {
-			routerOf[m] = rt.Addrs[0]
-		}
-	}
-	sh := &AtlasShard{
-		Header: AtlasShardHeader{Nodes: len(s.Nodes), Routers: len(s.Routers)},
-	}
-	if len(s.Nodes) > 0 {
-		sh.Header.Min = s.Nodes[0].Addr
-		sh.Header.Max = s.Nodes[len(s.Nodes)-1].Addr
-	}
-	sh.Nodes = make([]AtlasNodeV2, len(s.Nodes))
-	for i, n := range s.Nodes {
-		sh.Nodes[i] = AtlasNodeV2{Addr: n.Addr, Seen: n.Seen, Succ: succ[i], Router: routerOf[n.Addr]}
-	}
-	sh.Routers = s.Routers
-	r.v1shard = sh
-	r.v1snap = s
-	r.pairs = s.Pairs
-	return nil
-}
-
-// openV2 locates and validates the trailer, index and pairs section.
-func (r *AtlasReader) openV2() error {
-	probe := int64(atlasTailProbe)
-	if probe > r.size {
-		probe = r.size
-	}
+	probe := min(int64(atlasTailProbe), r.size)
 	tail := make([]byte, probe)
 	if _, err := r.f.ReadAt(tail, r.size-probe); err != nil {
-		return fmt.Errorf("traceio: atlas trailer: %v", err)
+		return nil, fmt.Errorf("traceio: atlas trailer: %v", err)
 	}
 	tail = bytes.TrimRight(tail, "\n")
 	nl := bytes.LastIndexByte(tail, '\n')
 	line := tail[nl+1:] // nl == -1 means the probe is one line
 	var t atlasTrailer
 	if err := json.Unmarshal(line, &t); err != nil {
-		return fmt.Errorf("traceio: bad atlas trailer: %v", err)
+		return nil, fmt.Errorf("traceio: bad atlas trailer: %v", err)
 	}
 	if t.Kind != atlasTrailerKind || t.Version != AtlasVersion {
-		return fmt.Errorf("traceio: bad atlas trailer (kind %q version %d)", t.Kind, t.Version)
+		return nil, fmt.Errorf("traceio: bad atlas trailer (kind %q version %d)", t.Kind, t.Version)
 	}
 	if t.IndexOff <= 0 || t.IndexLen <= 0 || t.IndexLen > maxAtlasLine || t.IndexOff+t.IndexLen > r.size {
-		return fmt.Errorf("traceio: atlas trailer index span [%d,+%d) out of bounds", t.IndexOff, t.IndexLen)
+		return nil, fmt.Errorf("traceio: atlas trailer index span [%d,+%d) out of bounds", t.IndexOff, t.IndexLen)
 	}
 	ib := make([]byte, t.IndexLen)
 	if _, err := r.f.ReadAt(ib, t.IndexOff); err != nil {
-		return fmt.Errorf("traceio: atlas index: %v", err)
+		return nil, fmt.Errorf("traceio: atlas index: %v", err)
 	}
 	if err := json.Unmarshal(bytes.TrimRight(ib, "\n"), &r.index); err != nil {
-		return fmt.Errorf("traceio: bad atlas index: %v", err)
+		return nil, fmt.Errorf("traceio: bad atlas index: %v", err)
 	}
 	if r.index.Kind != atlasIndexKind {
-		return fmt.Errorf("traceio: atlas index kind %q", r.index.Kind)
+		return nil, fmt.Errorf("traceio: atlas index kind %q", r.index.Kind)
 	}
-	if len(r.index.Shards) != r.header.Shards || len(r.index.Shards) == 0 {
-		return fmt.Errorf("traceio: atlas index lists %d shards, header claims %d", len(r.index.Shards), r.header.Shards)
+	if len(r.index.Shards) != r.header.Shards {
+		return nil, fmt.Errorf("traceio: atlas index lists %d shards, header claims %d", len(r.index.Shards), r.header.Shards)
 	}
 	r.mins = make([]packet.Addr, len(r.index.Shards))
 	r.maxs = make([]packet.Addr, len(r.index.Shards))
 	prevEnd := int64(0)
 	var prevMax packet.Addr
 	fenced := false
+	nodes, routers := 0, 0
 	for i, si := range r.index.Shards {
 		if si.Nodes < 0 || si.Routers < 0 {
-			return fmt.Errorf("traceio: atlas index shard %d: negative counts", i)
+			return nil, fmt.Errorf("traceio: atlas index shard %d: negative counts", i)
 		}
 		if si.Off < prevEnd || si.Len <= 0 || si.Off+si.Len > r.size {
-			return fmt.Errorf("traceio: atlas index shard %d: span [%d,+%d) out of bounds", i, si.Off, si.Len)
+			return nil, fmt.Errorf("traceio: atlas index shard %d: span [%d,+%d) out of bounds", i, si.Off, si.Len)
 		}
 		prevEnd = si.Off + si.Len
+		nodes += si.Nodes
+		routers += si.Routers
 		if si.Nodes == 0 {
 			continue
 		}
 		lo, err := packet.ParseAddr(si.Min)
 		if err != nil {
-			return fmt.Errorf("traceio: atlas index shard %d min fence: %v", i, err)
+			return nil, fmt.Errorf("traceio: atlas index shard %d min fence: %v", i, err)
 		}
 		hi, err := packet.ParseAddr(si.Max)
 		if err != nil {
-			return fmt.Errorf("traceio: atlas index shard %d max fence: %v", i, err)
+			return nil, fmt.Errorf("traceio: atlas index shard %d max fence: %v", i, err)
 		}
 		if hi < lo || (fenced && lo <= prevMax) {
-			return fmt.Errorf("traceio: atlas index shard %d fences out of order", i)
+			return nil, fmt.Errorf("traceio: atlas index shard %d fences out of order", i)
 		}
 		r.mins[i], r.maxs[i] = lo, hi
 		prevMax, fenced = hi, true
 	}
+	if nodes != r.header.Nodes || routers != r.header.Routers {
+		return nil, fmt.Errorf("traceio: atlas index shards hold %d nodes and %d routers, header claims %d and %d",
+			nodes, routers, r.header.Nodes, r.header.Routers)
+	}
 	if r.index.PairsOff < 0 || r.index.PairsLen < 0 || r.index.PairsOff+r.index.PairsLen > r.size {
-		return fmt.Errorf("traceio: atlas index pairs span out of bounds")
+		return nil, fmt.Errorf("traceio: atlas index pairs span out of bounds")
 	}
 	if r.index.DiamondsOff < 0 || r.index.DiamondsLen < 0 || r.index.DiamondsOff+r.index.DiamondsLen > r.size {
-		return fmt.Errorf("traceio: atlas index diamonds span out of bounds")
+		return nil, fmt.Errorf("traceio: atlas index diamonds span out of bounds")
 	}
 	pb := make([]byte, r.index.PairsLen)
 	if _, err := r.f.ReadAt(pb, r.index.PairsOff); err != nil {
-		return fmt.Errorf("traceio: atlas pairs: %v", err)
+		return nil, fmt.Errorf("traceio: atlas pairs: %v", err)
 	}
 	pls := newLineScanner(bytes.NewReader(pb))
-	pairs, err := decodePairs(pls, r.header.Pairs)
-	if err != nil {
-		return err
+	if r.pairs, err = decodePairs(pls, r.header.Pairs); err != nil {
+		return nil, err
 	}
 	if err := pls.finish(); err != nil {
-		return fmt.Errorf("traceio: atlas pairs section: %v", err)
+		return nil, fmt.Errorf("traceio: atlas pairs section: %v", err)
 	}
-	r.pairs = pairs
-	return nil
+	return r, nil
 }
 
 // readLineAt returns the '\n'-terminated line starting at off, growing
@@ -225,32 +178,21 @@ func (r *AtlasReader) readLineAt(off int64) ([]byte, error) {
 // Header returns the snapshot header (section totals, version).
 func (r *AtlasReader) Header() AtlasHeader { return r.header }
 
-// Version returns the file's format version.
-func (r *AtlasReader) Version() int { return r.header.Version }
-
 // Pairs returns the pair section, decoded at open time (it is small
 // and every provenance answer needs it).
 func (r *AtlasReader) Pairs() []AtlasPair { return r.pairs }
 
 // NumShards returns the number of independently decodable shards.
-func (r *AtlasReader) NumShards() int {
-	if r.v1shard != nil {
-		return 1
-	}
-	return len(r.index.Shards)
-}
+func (r *AtlasReader) NumShards() int { return len(r.index.Shards) }
 
 // ShardFor returns the shard whose address range owns addr. Every
 // address maps to some shard; whether the shard actually holds a node
 // for it is answered by decoding the shard.
 func (r *AtlasReader) ShardFor(addr packet.Addr) int {
-	if r.v1shard != nil {
-		return 0
-	}
-	return shardForAddr(r.mins, addr)
+	return AtlasShardForAddr(r.mins, addr)
 }
 
-// AtlasShard is one decoded v2 shard block: a contiguous address range
+// AtlasShard is one decoded shard block: a contiguous address range
 // of nodes plus the router components whose representative falls in the
 // range.
 type AtlasShard struct {
@@ -262,12 +204,6 @@ type AtlasShard struct {
 // ReadShard decodes shard i from its byte span. Safe for concurrent
 // callers.
 func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
-	if r.v1shard != nil {
-		if i != 0 {
-			return nil, fmt.Errorf("traceio: atlas shard %d out of range (v1 file has 1)", i)
-		}
-		return r.v1shard, nil
-	}
 	if i < 0 || i >= len(r.index.Shards) {
 		return nil, fmt.Errorf("traceio: atlas shard %d out of range (%d shards)", i, len(r.index.Shards))
 	}
@@ -281,9 +217,8 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sh.Nodes != si.Nodes || sh.Routers != si.Routers {
-		return nil, fmt.Errorf("traceio: atlas shard %d: block counts (%d,%d) disagree with index (%d,%d)",
-			i, sh.Nodes, sh.Routers, si.Nodes, si.Routers)
+	if sh.Nodes != si.Nodes || sh.Routers != si.Routers || sh.Min != si.Min || sh.Max != si.Max {
+		return nil, fmt.Errorf("traceio: atlas shard %d: block header %+v disagrees with index %+v", i, sh, si)
 	}
 	out := &AtlasShard{
 		Header:  sh,
@@ -292,27 +227,20 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 	}
 	var prev packet.Addr
 	for j := 0; j < sh.Nodes; j++ {
-		n, addr, err := decodeV2Node(ls, prev, j > 0)
+		n, addr, err := decodeNode(ls, prev, j > 0)
 		if err != nil {
 			return nil, err
 		}
-		if addr < r.mins[i] || addr > r.maxs[i] {
-			return nil, fmt.Errorf("traceio: atlas shard %d: node %s outside fences", i, n.Addr)
+		if (j == 0 && addr != r.mins[i]) || (j == sh.Nodes-1 && addr != r.maxs[i]) {
+			return nil, fmt.Errorf("traceio: atlas shard %d: node %s disagrees with fences [%s,%s]", i, n.Addr, si.Min, si.Max)
 		}
 		prev = addr
 		out.Nodes = append(out.Nodes, n)
 	}
 	for j := 0; j < sh.Routers; j++ {
-		b, err := ls.next()
+		rt, err := decodeRouter(ls)
 		if err != nil {
-			return nil, err
-		}
-		var rt AtlasRouter
-		if err := json.Unmarshal(b, &rt); err != nil {
-			return nil, fmt.Errorf("traceio: atlas shard %d: bad router: %v", i, err)
-		}
-		if err := validateRouter(ls, &rt); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("traceio: atlas shard %d: %v", i, err)
 		}
 		out.Routers = append(out.Routers, rt)
 	}
@@ -325,9 +253,6 @@ func (r *AtlasReader) ReadShard(i int) (*AtlasShard, error) {
 // ReadDiamonds decodes the diamond census section. Safe for concurrent
 // callers.
 func (r *AtlasReader) ReadDiamonds() ([]AtlasDiamond, error) {
-	if r.v1snap != nil {
-		return r.v1snap.Diamonds, nil
-	}
 	buf := make([]byte, r.index.DiamondsLen)
 	if _, err := r.f.ReadAt(buf, r.index.DiamondsOff); err != nil {
 		return nil, fmt.Errorf("traceio: atlas diamonds: %v", err)

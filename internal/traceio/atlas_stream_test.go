@@ -6,36 +6,30 @@ import (
 	"testing"
 )
 
-// streamSpecOf derives the stream spec a snapshot's encode commits to.
-func streamSpecOf(s *AtlasSnapshot, shards int) AtlasStreamSpec {
-	return AtlasStreamSpec{
-		Pairs: s.Pairs, Nodes: len(s.Nodes), Edges: len(s.Edges),
-		Routers: len(s.Routers), Shards: shards, Diamonds: s.Diamonds,
-	}
-}
-
-// Re-streaming a v2 file's own shard blocks through the stream encoder
+// Re-streaming a file's own shard blocks through the stream encoder
 // reproduces the file byte for byte: the encoder is a faithful dual of
 // the reader, and AppendAtlasShardBlock accepts every block a canonical
 // encode produces.
 func TestStreamEncoderRoundTripsReaderBlocks(t *testing.T) {
 	t.Parallel()
-	for _, shardNodes := range []int{2, 3, 4096} {
-		s := wideSnapshot()
-		var want bytes.Buffer
-		if err := (AtlasCodec{ShardNodes: shardNodes}).Encode(&want, s); err != nil {
-			t.Fatal(err)
-		}
-		path := writeV2File(t, s, shardNodes)
-		r, err := OpenAtlasFile(path)
+	for _, size := range []int{2, 3, AtlasShardNodes} {
+		want := wideAtlas(size).bytes(t)
+		r, err := OpenAtlasFile(writeBytes(t, want))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
+		h := r.Header()
+		diamonds, err := r.ReadDiamonds()
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		var got bytes.Buffer
-		c := AtlasCodec{ShardNodes: shardNodes}
-		enc, err := c.NewAtlasStreamEncoder(&got, streamSpecOf(s, r.NumShards()))
+		enc, err := NewAtlasStreamEncoder(&got, AtlasStreamSpec{
+			Pairs: r.Pairs(), Nodes: h.Nodes, Edges: h.Edges,
+			Routers: h.Routers, Shards: r.NumShards(), Diamonds: diamonds,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,42 +39,15 @@ func TestStreamEncoderRoundTripsReaderBlocks(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := enc.WriteBlock(sh); err != nil {
-				t.Fatalf("shardNodes=%d shard %d: %v", shardNodes, i, err)
+				t.Fatalf("size=%d shard %d: %v", size, i, err)
 			}
 		}
 		if err := enc.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("shardNodes=%d: re-streamed bytes differ from materialized encode", shardNodes)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("size=%d: re-streamed bytes differ from the original encode", size)
 		}
-	}
-}
-
-// EncodeAtlasStream is the pull-style wrapper over the same encoder.
-func TestEncodeAtlasStream(t *testing.T) {
-	t.Parallel()
-	s := wideSnapshot()
-	var want bytes.Buffer
-	if err := EncodeAtlas(&want, s); err != nil {
-		t.Fatal(err)
-	}
-	path := writeV2File(t, s, 0)
-	r, err := OpenAtlasFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	var got bytes.Buffer
-	err = EncodeAtlasStream(&got, streamSpecOf(s, r.NumShards()), func(i int) (*AtlasShard, error) {
-		return r.ReadShard(i)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("EncodeAtlasStream bytes differ from EncodeAtlas")
 	}
 }
 
@@ -99,7 +66,7 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 	n2 := AtlasNodeV2{Addr: "10.0.0.2"}
 
 	t.Run("node total mismatch", func(t *testing.T) {
-		enc, err := AtlasCodec{}.NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 1})
+		enc, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +78,7 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 		}
 	})
 	t.Run("missing shard", func(t *testing.T) {
-		enc, err := AtlasCodec{}.NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 2})
+		enc, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +90,7 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 		}
 	})
 	t.Run("out of order shard", func(t *testing.T) {
-		enc, err := AtlasCodec{}.NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 2})
+		enc, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +99,7 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 		}
 	})
 	t.Run("descending fences", func(t *testing.T) {
-		enc, err := AtlasCodec{}.NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 2})
+		enc, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +111,7 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 		}
 	})
 	t.Run("unsorted nodes inside block", func(t *testing.T) {
-		enc, err := AtlasCodec{}.NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 1})
+		enc, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 2, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +120,7 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 		}
 	})
 	t.Run("fence not matching first node", func(t *testing.T) {
-		enc, err := AtlasCodec{}.NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 1, Shards: 1})
+		enc, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Nodes: 1, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,12 +129,12 @@ func TestStreamEncoderRejectsInvalidSequences(t *testing.T) {
 		}
 	})
 	t.Run("zero shards", func(t *testing.T) {
-		if _, err := (AtlasCodec{}).NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{}); err == nil {
+		if _, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{}); err == nil {
 			t.Fatal("spec with 0 shards: err = nil")
 		}
 	})
 	t.Run("multiple shards for empty snapshot", func(t *testing.T) {
-		if _, err := (AtlasCodec{}).NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Shards: 2}); err == nil {
+		if _, err := NewAtlasStreamEncoder(&bytes.Buffer{}, AtlasStreamSpec{Shards: 2}); err == nil {
 			t.Fatal("2 shards for 0 nodes: err = nil")
 		}
 	})
