@@ -11,8 +11,10 @@ import (
 	"runtime"
 	"testing"
 
+	"mmlpt/internal/alias"
 	"mmlpt/internal/atlas"
 	"mmlpt/internal/atlas/serve"
+	"mmlpt/internal/core"
 	"mmlpt/internal/experiments"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
@@ -86,10 +88,11 @@ func BenchmarkSec3FailureValidation(b *testing.B) {
 }
 
 // BenchmarkFig5AliasRounds regenerates the round-by-round alias
-// resolution precision/recall/probe-ratio evaluation.
+// resolution precision/recall/probe-ratio evaluation. Every iteration
+// runs the same seed, so ns/op does not depend on b.N.
 func BenchmarkFig5AliasRounds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig5(experiments.Fig5Config{Pairs: 10, Rounds: 4, Seed: uint64(i)})
+		experiments.Fig5(experiments.Fig5Config{Pairs: 10, Rounds: 4, Seed: 1})
 	}
 }
 
@@ -97,7 +100,7 @@ func BenchmarkFig5AliasRounds(b *testing.B) {
 // outcome matrix.
 func BenchmarkTable2DirectIndirect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Table2(experiments.Table2Config{Pairs: 10, Rounds: 3, Seed: uint64(i)})
+		experiments.Table2(experiments.Table2Config{Pairs: 10, Rounds: 3, Seed: 1})
 	}
 }
 
@@ -152,7 +155,8 @@ func benchIPSurveyFigure(b *testing.B, extract func(*survey.Result)) {
 }
 
 // BenchmarkFig12RouterSizes, BenchmarkTable3AliasEffect, BenchmarkFig13 and
-// BenchmarkFig14 regenerate the Sec 5.2 router-level survey artifacts.
+// BenchmarkFig14 regenerate the Sec 5.2 router-level survey artifacts at
+// the paper's 10 alias rounds, on one fixed seed per iteration.
 func BenchmarkFig12RouterSizes(b *testing.B) {
 	benchRouterSurvey(b, func(res *survey.Result, recs []survey.RouterRecord) {
 		_, _ = survey.RouterSizeCDFs(recs)
@@ -177,16 +181,57 @@ func BenchmarkFig14JointBeforeAfter(b *testing.B) {
 	})
 }
 
+// routerBenchSeed draws a 30-pair router-level survey that crosses a
+// giant core, so the benches reach the alias path's heavy tail.
+const routerBenchSeed = 7
+
 func benchRouterSurvey(b *testing.B, extract func(*survey.Result, []survey.RouterRecord)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res, recs, err := experiments.RouterSurvey(experiments.SurveyConfig{
-			Pairs: 30, Seed: uint64(i), Rounds: 3,
+			Pairs: 30, Seed: routerBenchSeed, Rounds: 10,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		extract(res, recs)
+	}
+}
+
+// BenchmarkPartitionGiantCore measures the alias layer alone: the
+// final-round partition of a width-48 core (routers of one to four
+// interfaces on shared counters) from the observations a full
+// multilevel trace ended with: 1128 candidate pairs over 300-odd samples
+// per address. The trace runs once, outside the timer.
+func BenchmarkPartitionGiantCore(b *testing.B) {
+	net := fakeroute.NewNetwork(1)
+	alloc := fakeroute.NewAddrAllocator(packet.AddrFrom4(10, 0, 0, 1))
+	g := fakeroute.NewPathBuilder(alloc).Spread(48).Converge(1).End(benchDst)
+	hop := g.Hop(1)
+	for i, k := 0, 0; i < len(hop); k++ {
+		r := net.NewRouter()
+		for j := 0; j <= k%4 && i < len(hop); j++ {
+			net.AddIface(r, g.V(hop[i]).Addr)
+			i++
+		}
+	}
+	net.EnsureIfaces(g, benchDst)
+	net.AddPath(benchSrc, benchDst, g)
+	res := core.Trace(probe.NewSimProber(net, benchSrc, benchDst), core.Options{Trace: mda.Config{Seed: 1}})
+	var group []packet.Addr
+	for _, cg := range core.CandidateGroups(res.IP.Graph, benchDst) {
+		if len(cg) > len(group) {
+			group = cg
+		}
+	}
+	if len(group) != 48 {
+		b.Fatalf("widest candidate group %d, want 48", len(group))
+	}
+	r := alias.NewResolver(nil, res.Obs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Partition(group)
 	}
 }
 

@@ -134,20 +134,15 @@ func Monotonic(samples []obs.Sample) bool {
 	return true
 }
 
-// MergeSamples interleaves two series by sequence number.
-func MergeSamples(a, b []obs.Sample) []obs.Sample {
-	out := make([]obs.Sample, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// MBTVerdict applies the Monotonic Bounds Test to a pair of usable series:
-// if their interleaved merge stays monotonic the addresses are consistent
-// with sharing one counter (Accepted); a single out-of-sequence identifier
-// rejects the pair. Series that do not interleave (no overlap in time)
-// cannot discriminate and yield Unable.
+// MBTVerdict applies the Monotonic Bounds Test to a pair of usable series,
+// each in Seq order: if their interleaved merge stays monotonic the
+// addresses are consistent with sharing one counter (Accepted); a single
+// out-of-sequence identifier rejects the pair. Series that do not
+// interleave (no overlap in time) cannot discriminate and yield Unable.
+//
+// The merge is walked in place with two cursors, stopping at the first
+// violation, so the test is linear in the series lengths and allocates
+// nothing. On equal Seq the sample of a comes first.
 func MBTVerdict(a, b []obs.Sample) Outcome {
 	if len(a) == 0 || len(b) == 0 {
 		return Unable
@@ -157,10 +152,23 @@ func MBTVerdict(a, b []obs.Sample) Outcome {
 	if a[len(a)-1].Seq < b[0].Seq || b[len(b)-1].Seq < a[0].Seq {
 		return Unable
 	}
-	if Monotonic(MergeSamples(a, b)) {
-		return Accepted
+	i, j := 0, 0
+	var prev uint16
+	for n := 0; i < len(a) || j < len(b); n++ {
+		var id uint16
+		if j == len(b) || (i < len(a) && a[i].Seq <= b[j].Seq) {
+			id = a[i].IPID
+			i++
+		} else {
+			id = b[j].IPID
+			j++
+		}
+		if diff := id - prev; n > 0 && (diff == 0 || diff >= wrapThreshold) {
+			return Rejected
+		}
+		prev = id
 	}
-	return Rejected
+	return Accepted
 }
 
 // Evidence is the full pairwise verdict with its source tests.
@@ -222,35 +230,59 @@ func (r *Resolver) samples(ao *obs.AddrObs) []obs.Sample {
 	return ao.IndirectSamples()
 }
 
-// PairVerdict evaluates the pair with all available evidence.
-func (r *Resolver) PairVerdict(a, b packet.Addr) Evidence {
+// addrEvidence is what the pair tests read about one address: its series
+// of the resolver's family, whether that series can support the MBT, its
+// fingerprint and its constant MPLS label. Partition and ClassifySet
+// gather it once per address per call rather than once per pair.
+type addrEvidence struct {
+	observed bool
+	series   []obs.Sample
+	usable   bool
+	fp       obs.Fingerprint
+	label    uint32
+	labeled  bool
+}
+
+func (r *Resolver) evidenceOf(a packet.Addr) addrEvidence {
+	ao := r.Obs.Get(a)
+	if ao == nil {
+		return addrEvidence{}
+	}
+	e := addrEvidence{observed: true, series: r.samples(ao), fp: ao.FingerprintOf()}
+	e.usable, _ = SeriesUsable(e.series, r.Direct)
+	e.label, e.labeled = ao.ConstantLabel()
+	return e
+}
+
+// pairEvidence runs every test on two addresses' evidence.
+func pairEvidence(x, y *addrEvidence) Evidence {
 	var ev Evidence
-	ao, bo := r.Obs.Get(a), r.Obs.Get(b)
-	if ao == nil || bo == nil {
+	if !x.observed || !y.observed {
 		return ev
 	}
 	// Network Fingerprinting.
-	if !obs.CompatibleFingerprints(ao.FingerprintOf(), bo.FingerprintOf()) {
+	if !obs.CompatibleFingerprints(x.fp, y.fp) {
 		ev.Fingerprint = Rejected
 	}
 	// MPLS labeling (constant labels only).
-	if la, oka := ao.ConstantLabel(); oka {
-		if lb, okb := bo.ConstantLabel(); okb {
-			if la == lb {
-				ev.MPLS = Accepted
-			} else {
-				ev.MPLS = Rejected
-			}
+	if x.labeled && y.labeled {
+		if x.label == y.label {
+			ev.MPLS = Accepted
+		} else {
+			ev.MPLS = Rejected
 		}
 	}
 	// Monotonic Bounds Test.
-	sa, sb := r.samples(ao), r.samples(bo)
-	uA, _ := SeriesUsable(sa, r.Direct)
-	uB, _ := SeriesUsable(sb, r.Direct)
-	if uA && uB {
-		ev.MBT = MBTVerdict(sa, sb)
+	if x.usable && y.usable {
+		ev.MBT = MBTVerdict(x.series, y.series)
 	}
 	return ev
+}
+
+// PairVerdict evaluates the pair with all available evidence.
+func (r *Resolver) PairVerdict(a, b packet.Addr) Evidence {
+	ea, eb := r.evidenceOf(a), r.evidenceOf(b)
+	return pairEvidence(&ea, &eb)
 }
 
 // Set is one refined alias set.
@@ -266,31 +298,37 @@ type Set struct {
 // current evidence: each address joins the first set whose every member it
 // is compatible with (no rejection); a set is Accepted when every pair
 // inside it has positive evidence.
+//
+// Each candidate's evidence is gathered once, and each pair verdict is
+// computed at most once into an n×n table indexed by position in the
+// sorted candidate list.
 func (r *Resolver) Partition(candidates []packet.Addr) []Set {
 	sorted := append([]packet.Addr(nil), candidates...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
-	var groups [][]packet.Addr
-	verdict := make(map[[2]packet.Addr]Outcome)
-	pv := func(a, b packet.Addr) Outcome {
-		k := [2]packet.Addr{a, b}
-		if a > b {
-			k = [2]packet.Addr{b, a}
+	n := len(sorted)
+	ev := make([]addrEvidence, n)
+	for i, a := range sorted {
+		ev[i] = r.evidenceOf(a)
+	}
+	// verdict holds Outcome+1 per ordered pair; zero means not computed.
+	verdict := make([]uint8, n*n)
+	pv := func(i, j int) Outcome {
+		if v := verdict[i*n+j]; v != 0 {
+			return Outcome(v - 1)
 		}
-		if v, ok := verdict[k]; ok {
-			return v
-		}
-		v := r.PairVerdict(a, b).Combine()
-		verdict[k] = v
+		v := pairEvidence(&ev[i], &ev[j]).Combine()
+		verdict[i*n+j], verdict[j*n+i] = uint8(v+1), uint8(v+1)
 		return v
 	}
-	for _, a := range sorted {
+
+	var groups [][]int
+	for i := range sorted {
 		placed := false
 		for gi, g := range groups {
 			ok := true
 			positive := false
 			for _, m := range g {
-				switch pv(a, m) {
+				switch pv(i, m) {
 				case Rejected:
 					ok = false
 				case Accepted:
@@ -301,30 +339,33 @@ func (r *Resolver) Partition(candidates []packet.Addr) []Set {
 				}
 			}
 			if ok && positive {
-				groups[gi] = append(groups[gi], a)
+				groups[gi] = append(groups[gi], i)
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			groups = append(groups, []packet.Addr{a})
+			groups = append(groups, []int{i})
 		}
 	}
 	out := make([]Set, 0, len(groups))
 	for _, g := range groups {
-		s := Set{Addrs: g, Outcome: Accepted}
+		s := Set{Addrs: make([]packet.Addr, len(g)), Outcome: Accepted}
+		for k, i := range g {
+			s.Addrs[k] = sorted[i]
+		}
 		if len(g) < 2 {
 			s.Outcome = Unable
-			if u, _ := r.AddrUsable(g[0]); u {
+			if ev[g[0]].usable {
 				// A usable singleton is a positively isolated interface.
 				s.Outcome = Accepted
 			}
 			out = append(out, s)
 			continue
 		}
-		for i := 0; i < len(g) && s.Outcome == Accepted; i++ {
-			for j := i + 1; j < len(g); j++ {
-				if pv(g[i], g[j]) != Accepted {
+		for x := 0; x < len(g) && s.Outcome == Accepted; x++ {
+			for y := x + 1; y < len(g); y++ {
+				if pv(g[x], g[y]) != Accepted {
 					s.Outcome = Unable
 					break
 				}
@@ -343,10 +384,14 @@ func (r *Resolver) ClassifySet(addrs []packet.Addr) Outcome {
 	if len(addrs) < 2 {
 		return Unable
 	}
+	ev := make([]addrEvidence, len(addrs))
+	for i, a := range addrs {
+		ev[i] = r.evidenceOf(a)
+	}
 	sawUnable := false
-	for i := 0; i < len(addrs); i++ {
-		for j := i + 1; j < len(addrs); j++ {
-			switch r.PairVerdict(addrs[i], addrs[j]).Combine() {
+	for i := range ev {
+		for j := i + 1; j < len(ev); j++ {
+			switch pairEvidence(&ev[i], &ev[j]).Combine() {
 			case Rejected:
 				return Rejected
 			case Unable:

@@ -27,10 +27,7 @@ func synthObs(groups [][]packet.Addr) *obs.Observations {
 			for _, a := range g {
 				seq++
 				counters[gi] += 3
-				ao := o.Ensure(a)
-				ao.Samples = append(ao.Samples, obs.Sample{
-					Seq: seq, IPID: counters[gi], Indirect: true,
-				})
+				o.RecordTrace(&packet.Reply{From: a, Type: packet.ICMPTypeTimeExceeded, IPID: counters[gi]}, 1, 1, 0, seq)
 			}
 		}
 	}

@@ -157,13 +157,11 @@ func TestObservationsCollectedDuringTrace(t *testing.T) {
 		if ao == nil {
 			t.Fatalf("no observations for %s", a)
 		}
-		if len(ao.Samples) == 0 || len(ao.Flows) == 0 {
+		if len(ao.IndirectSamples()) == 0 || len(ao.Flows) == 0 {
 			t.Fatalf("empty observations for %s", a)
 		}
-		for _, s := range ao.Samples {
-			if !s.Indirect {
-				t.Fatal("trace produced a direct sample")
-			}
+		if len(ao.DirectSamples()) != 0 {
+			t.Fatal("trace produced a direct sample")
 		}
 	}
 }

@@ -26,9 +26,6 @@ type Sample struct {
 	Seq uint64
 	// IPID is the outer IP identification value of the reply.
 	IPID uint16
-	// Indirect is true for Time Exceeded / Port Unreachable replies
-	// (traceroute-style probing) and false for Echo replies.
-	Indirect bool
 	// SentID is the IP ID the probe carried (direct probes only): MIDAR
 	// detects routers that copy the probe's IP ID into the reply by
 	// comparing the two.
@@ -43,8 +40,11 @@ type FlowRef struct {
 
 // AddrObs is everything observed about one address.
 type AddrObs struct {
-	Addr    packet.Addr
-	Samples []Sample
+	Addr packet.Addr
+	// indirect holds the samples of Time Exceeded / Port Unreachable
+	// replies (traceroute-style probing), direct those of Echo replies;
+	// each series is kept in Seq order as samples are recorded.
+	indirect, direct []Sample
 	// ReplyTTLExceeded is the set of observed reply TTLs for indirect
 	// probing (normally one value); ReplyTTLEcho likewise for direct.
 	ReplyTTLExceeded []byte
@@ -96,7 +96,7 @@ func (o *Observations) Addrs() []packet.Addr {
 // TTL and MPLS stack. seq is the global probe counter.
 func (o *Observations) RecordTrace(r *packet.Reply, flow uint16, ttl, hop int, seq uint64) {
 	ao := o.Ensure(r.From)
-	ao.Samples = append(ao.Samples, Sample{Seq: seq, IPID: r.IPID, Indirect: true})
+	ao.indirect = insertBySeq(ao.indirect, Sample{Seq: seq, IPID: r.IPID})
 	ao.addReplyTTL(&ao.ReplyTTLExceeded, r.ReplyTTL)
 	for _, e := range r.MPLS {
 		if e.S {
@@ -111,8 +111,23 @@ func (o *Observations) RecordTrace(r *packet.Reply, flow uint16, ttl, hop int, s
 // the IP ID the probe carried.
 func (o *Observations) RecordEcho(r *packet.Reply, seq uint64, sentID uint16) {
 	ao := o.Ensure(r.From)
-	ao.Samples = append(ao.Samples, Sample{Seq: seq, IPID: r.IPID, Indirect: false, SentID: sentID})
+	ao.direct = insertBySeq(ao.direct, Sample{Seq: seq, IPID: r.IPID, SentID: sentID})
 	ao.addReplyTTL(&ao.ReplyTTLEcho, r.ReplyTTL)
+}
+
+// insertBySeq adds s to a Seq-sorted series, after any samples with an
+// equal Seq. The tracers record in Seq order, so this is an append; an
+// out-of-order sample is shifted into place.
+func insertBySeq(series []Sample, s Sample) []Sample {
+	n := len(series)
+	if n == 0 || series[n-1].Seq <= s.Seq {
+		return append(series, s)
+	}
+	i := sort.Search(n, func(i int) bool { return series[i].Seq > s.Seq })
+	series = append(series, Sample{})
+	copy(series[i+1:], series[i:n])
+	series[i] = s
+	return series
 }
 
 func (ao *AddrObs) addReplyTTL(set *[]byte, ttl byte) {
@@ -143,25 +158,16 @@ func (ao *AddrObs) addHop(h int) {
 }
 
 // IndirectSamples returns the indirect (Time Exceeded) samples in sequence
-// order.
+// order. The slice is the stored series, not a copy: callers must not
+// modify it.
 func (ao *AddrObs) IndirectSamples() []Sample {
-	return ao.samples(true)
+	return ao.indirect[:len(ao.indirect):len(ao.indirect)]
 }
 
-// DirectSamples returns the direct (Echo) samples in sequence order.
+// DirectSamples returns the direct (Echo) samples in sequence order. The
+// slice is the stored series, not a copy: callers must not modify it.
 func (ao *AddrObs) DirectSamples() []Sample {
-	return ao.samples(false)
-}
-
-func (ao *AddrObs) samples(indirect bool) []Sample {
-	var out []Sample
-	for _, s := range ao.Samples {
-		if s.Indirect == indirect {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return ao.direct[:len(ao.direct):len(ao.direct)]
 }
 
 // InferInitialTTL maps an observed reply TTL to the smallest conventional
@@ -189,8 +195,9 @@ type Fingerprint struct {
 }
 
 // FingerprintOf computes the signature for an address from its
-// observations. Multiple distinct observed reply TTLs of one family map to
-// the most common inference; in the simulator they never conflict.
+// observations. When one family shows several distinct reply TTLs, the
+// inference uses the largest of them; in the simulator they never
+// conflict.
 func (ao *AddrObs) FingerprintOf() Fingerprint {
 	var fp Fingerprint
 	if len(ao.ReplyTTLExceeded) > 0 {

@@ -21,8 +21,11 @@ func TestRecordTraceAccumulates(t *testing.T) {
 	if ao == nil {
 		t.Fatal("no record")
 	}
-	if len(ao.Samples) != 3 {
-		t.Fatalf("samples %d", len(ao.Samples))
+	if n := len(ao.IndirectSamples()); n != 3 {
+		t.Fatalf("indirect samples %d", n)
+	}
+	if n := len(ao.DirectSamples()); n != 0 {
+		t.Fatalf("direct samples %d", n)
 	}
 	if len(ao.Flows) != 2 { // (5,3) deduplicated, (6,3) new
 		t.Fatalf("flows %v", ao.Flows)

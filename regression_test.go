@@ -5,15 +5,25 @@ package mmlpt
 // implementation; the batched per-round loops in internal/mda and
 // internal/mdalite must reproduce them exactly — batching restructures
 // when probes are sent, never which probes are sent.
+//
+// The router-level survey digests at the end pin the alias-resolution
+// path's output bytes at giant-core scale.
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"mmlpt/internal/atlas"
+	"mmlpt/internal/experiments"
 	"mmlpt/internal/fakeroute"
 	"mmlpt/internal/mda"
 	"mmlpt/internal/mdalite"
 	"mmlpt/internal/packet"
 	"mmlpt/internal/probe"
+	"mmlpt/internal/survey"
 	"mmlpt/internal/topo"
 )
 
@@ -91,6 +101,58 @@ func TestBatchedEngineMatchesSerialGoldens(t *testing.T) {
 			t.Errorf("%s seed=%d MDA-Lite: probes=%d v=%d e=%d switched=%v, want %d/%d/%d/%v",
 				row.shape, row.seed, r2.Probes, len(r2.Graph.Vertices), countEdges(r2.Graph),
 				r2.SwitchedToMDA, row.liteProbes, row.liteV, row.liteE, row.switched)
+		}
+	}
+}
+
+// Router-level byte pins at giant-core scale: the record log and atlas
+// snapshot of `survey -level router -pairs 400 -seed 9`, built the way
+// cmd/survey builds them with -out and -atlas. 400 pairs cross the
+// width-48/56/96 giant cores many times, so every alias-resolution
+// change that moves a verdict moves these digests. Output is identical
+// for every worker count, so both runs must hit the same digests.
+const (
+	router400JSONLDigest = "a7388e495a6000e4787e22bd891025f4d73392e3d65420be08166266a0459fa7"
+	router400AtlasDigest = "7a0caa16155f768733a29349d908a60b10f19462279da17b2998608c9cd1c1f3"
+)
+
+func TestRouterSurvey400Digests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 400-pair router-level surveys; skipped with -short")
+	}
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		jsonlPath, atlasPath := filepath.Join(dir, "router.jsonl"), filepath.Join(dir, "router.atlas")
+		jsonl := survey.NewJSONLSink(jsonlPath)
+		as := survey.NewAtlasSink(atlas.Options{})
+		cfg := experiments.SurveyConfig{
+			Pairs: 400, Seed: 9, Phi: 2, Rounds: 10, Workers: workers,
+			CheckpointEvery: survey.DefaultCheckpointEvery,
+			Sinks:           []survey.Sink{jsonl, survey.NewAggregateSink(), as},
+		}
+		if _, _, err := experiments.RouterSurvey(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := jsonl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Atlas.Save(atlasPath); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct{ path, want string }{
+			{jsonlPath, router400JSONLDigest},
+			{atlasPath, router400AtlasDigest},
+		} {
+			b, err := os.ReadFile(f.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != f.want {
+				t.Errorf("workers=%d %s: sha256 %s, want %s", workers, filepath.Base(f.path), got, f.want)
+			}
 		}
 	}
 }
